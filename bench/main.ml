@@ -11,114 +11,149 @@
 open Quill_common
 open Quill_workloads
 module H = Quill_harness
+module Sim = Quill_sim.Sim
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: real-time cost of the hot paths.         *)
 (* ------------------------------------------------------------------ *)
 
+(* One micro-benchmark: each call of [fn] performs [ops] operations, and
+   the table reports the cost of one operation. *)
+type micro = { name : string; ops : int; fn : unit -> unit }
+
 let micro_tests () =
-  let open Bechamel in
   let zipf = Zipf.create ~theta:0.99 1_000_000 in
   let rng = Rng.create 11 in
-  let bench_zipf =
-    Test.make ~name:"zipf-sample-0.99"
-      (Staged.stage (fun () -> ignore (Zipf.sample_scrambled zipf rng)))
-  in
-  let heap = Heap.create ~cmp:compare in
-  let bench_heap =
-    Test.make ~name:"heap-push-pop"
-      (Staged.stage (fun () ->
-           Heap.push heap (Rng.int rng 1000);
-           ignore (Heap.pop heap)))
+  let zipf_sample () = ignore (Zipf.sample_scrambled zipf rng) in
+  let heap = Heap.create ~dummy:0 in
+  let ord = ref 0 in
+  let heap_push_pop () =
+    incr ord;
+    (* A multiplicative hash keeps the keys varied without timing an RNG. *)
+    Heap.push heap ~at:(!ord * 7919 land 1023) ~ord:!ord !ord;
+    ignore (Heap.pop heap)
   in
   let ycsb =
     Ycsb.make { Ycsb.default with Ycsb.table_size = 10_000; nparts = 4 }
   in
   let stream = ycsb.Quill_txn.Workload.new_stream 0 in
-  let bench_gen_ycsb =
-    Test.make ~name:"ycsb-gen-txn" (Staged.stage (fun () -> ignore (stream ())))
-  in
   let tpcc =
     Tpcc.make
       { Tpcc.default with Tpcc_defs.warehouses = 1; nparts = 4; items = 10_000 }
   in
   let tstream = tpcc.Quill_txn.Workload.new_stream 0 in
-  let bench_gen_tpcc =
-    Test.make ~name:"tpcc-gen-txn" (Staged.stage (fun () -> ignore (tstream ())))
+  let barrier () =
+    let sim = Sim.create () in
+    let b = Sim.Barrier.create 8 in
+    for _ = 1 to 8 do
+      Sim.spawn sim (fun () ->
+          for _ = 1 to 16 do
+            Sim.tick sim 10;
+            Sim.Barrier.await sim b
+          done)
+    done;
+    ignore (Sim.run sim)
   in
-  let bench_sim_tick =
-    Test.make ~name:"sim-1k-thread-barrier"
-      (Staged.stage (fun () ->
-           let sim = Quill_sim.Sim.create () in
-           let b = Quill_sim.Sim.Barrier.create 8 in
-           for _ = 1 to 8 do
-             Quill_sim.Sim.spawn sim (fun () ->
-                 for _ = 1 to 16 do
-                   Quill_sim.Sim.tick sim 10;
-                   Quill_sim.Sim.Barrier.await sim b
-                 done)
-           done;
-           ignore (Quill_sim.Sim.run sim)))
+  (* 8 fibers with equal tick costs and start clocks staggered by 1 ns:
+     after every tick another fiber is due at or before the ticker's
+     clock, so (bar the last few) every tick is a context switch. *)
+  let fibers = 8 and ticks = 1024 in
+  let contended () =
+    let sim = Sim.create () in
+    for i = 0 to fibers - 1 do
+      Sim.spawn ~at:i sim (fun () ->
+          for _ = 1 to ticks do
+            Sim.tick sim fibers
+          done)
+    done;
+    ignore (Sim.run sim)
   in
-  let bench_quecc_batch =
-    let wl = Ycsb.make { Ycsb.default with Ycsb.table_size = 20_000; nparts = 4 } in
-    Test.make ~name:"quecc-256txn-batch"
-      (Staged.stage (fun () ->
-           ignore
-             (Quill_quecc.Engine.run
-                {
-                  Quill_quecc.Engine.default_cfg with
-                  Quill_quecc.Engine.planners = 4;
-                  executors = 4;
-                  batch_size = 256;
-                }
-                wl ~batches:1)))
+  let quecc_wl =
+    Ycsb.make { Ycsb.default with Ycsb.table_size = 20_000; nparts = 4 }
   in
-  Test.make_grouped ~name:"quill"
-    [
-      bench_zipf;
-      bench_heap;
-      bench_gen_ycsb;
-      bench_gen_tpcc;
-      bench_sim_tick;
-      bench_quecc_batch;
-    ]
+  let quecc_batch () =
+    ignore
+      (Quill_quecc.Engine.run
+         {
+           Quill_quecc.Engine.default_cfg with
+           Quill_quecc.Engine.planners = 4;
+           executors = 4;
+           batch_size = 256;
+         }
+         quecc_wl ~batches:1)
+  in
+  [
+    { name = "zipf-sample-0.99"; ops = 1; fn = zipf_sample };
+    { name = "heap-push-pop"; ops = 1; fn = heap_push_pop };
+    { name = "ycsb-gen-txn"; ops = 1; fn = (fun () -> ignore (stream ())) };
+    { name = "tpcc-gen-txn"; ops = 1; fn = (fun () -> ignore (tstream ())) };
+    { name = "sim-barrier-8x16"; ops = 1; fn = barrier };
+    { name = "sim-contended-tick"; ops = fibers * ticks; fn = contended };
+    { name = "quecc-256txn-batch"; ops = 1; fn = quecc_batch };
+  ]
+
+(* Stopwatch cross-check of the bechamel estimate: find a call count whose
+   batch lasts at least 50 ms, time five such batches, and report ns and
+   minor words per operation of the median one (robust to a transient
+   stall on a shared machine). *)
+let stopwatch m =
+  (* lint: wall-clock-ok — host timing of the micro table, never virtual time *)
+  let now = Unix.gettimeofday in
+  let batch n =
+    let w0 = Gc.minor_words () in
+    let t0 = now () in
+    for _ = 1 to n do
+      m.fn ()
+    done;
+    (now () -. t0, Gc.minor_words () -. w0)
+  in
+  let rec calibrate n = if fst (batch n) < 0.05 then calibrate (2 * n) else n in
+  let n = calibrate 1 in
+  let dt, dw = List.nth (List.sort compare (List.init 5 (fun _ -> batch n))) 2 in
+  let per = float_of_int (n * m.ops) in
+  (dt *. 1e9 /. per, dw /. per)
 
 let run_micro () =
   let open Bechamel in
-  let open Bechamel.Toolkit in
-  print_endline "\n== Microbenchmarks (real time per run) ==";
-  let instances = Instance.[ monotonic_clock ] in
+  let module Instance = Toolkit.Instance in
+  print_endline "\n== Microbenchmarks (cost per operation) ==";
+  let instances = Instance.[ monotonic_clock; minor_allocated ] in
+  (* [~stabilize:false]: the default runs [Gc.compact] (until live words
+     settle) before every sample.  That spends the quota compacting, so
+     sampling stops at small run counts, and the cold caches each
+     compaction leaves cost every sample a fixed overhead that the
+     through-origin OLS on [run] folds into the per-run slope: the
+     estimates came out up to 25x above a stopwatch. *)
   let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
+    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false ()
   in
-  let raw = Benchmark.all cfg instances (micro_tests ()) in
-  let results =
-    List.map (fun i -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:false
-                                      ~predictors:[| Measure.run |]) i raw)
-      instances
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  let results = Analyze.merge (Analyze.ols ~bootstrap:0 ~r_square:false
-                                 ~predictors:[| Measure.run |]) instances results in
-  (* lint: order-insensitive — rows are List.sort-ed before printing *)
-  Hashtbl.iter
-    (fun measure tbl ->
-      ignore measure;
-      let rows =
-        (* lint: order-insensitive — same: accumulated rows sorted below *)
-        Hashtbl.fold
-          (fun name ols acc ->
-            let est =
-              match Analyze.OLS.estimates ols with
-              | Some [ e ] -> Printf.sprintf "%.1f ns" e
-              | _ -> "-"
-            in
-            [ name; est ] :: acc)
-          tbl []
-      in
-      Tablefmt.print ~header:[ "benchmark"; "time/run" ]
-        (List.sort compare rows))
-    results
+  let rows =
+    List.map
+      (fun m ->
+        let test = Test.make ~name:m.name (Staged.stage m.fn) in
+        let raw = Benchmark.run cfg instances (List.hd (Test.elements test)) in
+        let per_op inst =
+          match Analyze.OLS.estimates (Analyze.one ols inst raw) with
+          | Some [ e ] -> Printf.sprintf "%.1f" (e /. float_of_int m.ops)
+          | _ -> "-"
+        in
+        let sw_ns, sw_words = stopwatch m in
+        [
+          m.name;
+          per_op Instance.monotonic_clock;
+          per_op Instance.minor_allocated;
+          Printf.sprintf "%.1f" sw_ns;
+          Printf.sprintf "%.1f" sw_words;
+        ])
+      (micro_tests ())
+  in
+  Tablefmt.print
+    ~header:
+      [ "benchmark"; "ns/op"; "words/op"; "stopwatch ns/op"; "stopwatch words/op" ]
+    rows
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,54 +1,84 @@
 type 'a t = {
-  cmp : 'a -> 'a -> int;
-  v : 'a Vec.t;
+  mutable ats : int array;
+  mutable ords : int array;
+  mutable vals : 'a array;
+  mutable len : int;
+  dummy : 'a;
 }
 
-let create ~cmp = { cmp; v = Vec.create () }
-let length t = Vec.length t.v
-let is_empty t = Vec.is_empty t.v
+let create ~dummy = { ats = [||]; ords = [||]; vals = [||]; len = 0; dummy }
+let length t = t.len
+let is_empty t = t.len = 0
 
-let swap t i j =
-  let x = Vec.get t.v i in
-  Vec.set t.v i (Vec.get t.v j);
-  Vec.set t.v j x
+(* Annotated [int]: left polymorphic, the comparisons would be calls to
+   the C polymorphic compare. *)
+let[@inline] less (a_at : int) (a_ord : int) b_at b_ord =
+  a_at < b_at || (a_at = b_at && a_ord < b_ord)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if t.cmp (Vec.get t.v i) (Vec.get t.v parent) < 0 then begin
-      swap t i parent;
-      sift_up t parent
+let grow t =
+  let cap = max 16 (2 * t.len) in
+  let ats = Array.make cap 0 and ords = Array.make cap 0 in
+  let vals = Array.make cap t.dummy in
+  Array.blit t.ats 0 ats 0 t.len;
+  Array.blit t.ords 0 ords 0 t.len;
+  Array.blit t.vals 0 vals 0 t.len;
+  t.ats <- ats;
+  t.ords <- ords;
+  t.vals <- vals
+
+(* Both sifts move a hole instead of swapping, and write the carried
+   element once where the hole stops. *)
+let push t ~at ~ord x =
+  if t.len = Array.length t.ats then grow t;
+  let i = ref t.len and sifting = ref true in
+  t.len <- t.len + 1;
+  while !sifting && !i > 0 do
+    let p = (!i - 1) / 2 in
+    if less at ord t.ats.(p) t.ords.(p) then begin
+      t.ats.(!i) <- t.ats.(p);
+      t.ords.(!i) <- t.ords.(p);
+      t.vals.(!i) <- t.vals.(p);
+      i := p
     end
-  end
+    else sifting := false
+  done;
+  t.ats.(!i) <- at;
+  t.ords.(!i) <- ord;
+  t.vals.(!i) <- x
 
-let rec sift_down t i =
-  let n = length t in
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < n && t.cmp (Vec.get t.v l) (Vec.get t.v !smallest) < 0 then
-    smallest := l;
-  if r < n && t.cmp (Vec.get t.v r) (Vec.get t.v !smallest) < 0 then
-    smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let push t x =
-  Vec.push t.v x;
-  sift_up t (length t - 1)
-
-let peek t = if is_empty t then None else Some (Vec.get t.v 0)
+let min_at t =
+  if t.len = 0 then invalid_arg "Heap.min_at: empty";
+  t.ats.(0)
 
 let pop t =
-  let n = length t in
-  if n = 0 then None
-  else begin
-    let top = Vec.get t.v 0 in
-    swap t 0 (n - 1);
-    ignore (Vec.pop t.v);
-    if not (is_empty t) then sift_down t 0;
-    Some top
-  end
-
-let clear t = Vec.clear t.v
+  if t.len = 0 then invalid_arg "Heap.pop: empty";
+  let top = t.vals.(0) in
+  let n = t.len - 1 in
+  t.len <- n;
+  let at = t.ats.(n) and ord = t.ords.(n) and x = t.vals.(n) in
+  t.vals.(n) <- t.dummy;
+  if n > 0 then begin
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= n then sifting := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && less t.ats.(r) t.ords.(r) t.ats.(l) t.ords.(l) then r
+          else l
+        in
+        if less t.ats.(c) t.ords.(c) at ord then begin
+          t.ats.(!i) <- t.ats.(c);
+          t.ords.(!i) <- t.ords.(c);
+          t.vals.(!i) <- t.vals.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    t.ats.(!i) <- at;
+    t.ords.(!i) <- ord;
+    t.vals.(!i) <- x
+  end;
+  top

@@ -1,12 +1,22 @@
-(** Binary min-heap, the event queue of the simulator.  Elements are
-    ordered by a user-supplied comparison fixed at creation. *)
+(** Binary min-heap, the event queue of the simulator.  Each element is
+    keyed by two ints [(at, ord)], compared lexicographically; the keys
+    live in unboxed [int array]s beside a parallel payload array, so
+    reading the minimum key and popping allocate nothing.  Callers that
+    need a total order (the simulator does) keep [ord] unique. *)
 
 type 'a t
 
-val create : cmp:('a -> 'a -> int) -> 'a t
+val create : dummy:'a -> 'a t
+(** [dummy] fills payload slots that hold no element, so a popped payload
+    is not kept reachable by the heap. *)
+
 val length : 'a t -> int
 val is_empty : 'a t -> bool
-val push : 'a t -> 'a -> unit
-val peek : 'a t -> 'a option
-val pop : 'a t -> 'a option
-val clear : 'a t -> unit
+val push : 'a t -> at:int -> ord:int -> 'a -> unit
+
+val min_at : 'a t -> int
+(** [at] key of the minimum.  Raises [Invalid_argument] when empty. *)
+
+val pop : 'a t -> 'a
+(** Remove the minimum and return its payload.  Raises
+    [Invalid_argument] when empty. *)

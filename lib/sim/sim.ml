@@ -43,9 +43,9 @@ let phase_name = function
   | Ph_publish -> "publish"
 
 type t = {
-  runq : entry Heap.t;
+  runq : event Heap.t;
   mutable order : int;
-  mutable current : thread option;
+  mutable current : thread;    (* [no_thread] outside a simulated thread *)
   mutable spawned : int;
   mutable completed : int;
   mutable busy : int;
@@ -59,24 +59,31 @@ type t = {
 
 and thread = { tid : int; mutable clock : time; mutable phase : int }
 
-(* [phantom] entries are scheduler bookkeeping (e.g. receive timeouts)
-   that may never fire: they must not drag the horizon forward, or an
-   unused timeout would inflate the run's elapsed time. *)
-and entry = { at : time; ord : int; phantom : bool; resume : unit -> unit }
+(* A run-queue entry.  [Resume] re-enters a thread that yielded: the hot
+   path of every contended [tick], so it carries the continuation itself
+   rather than a closure.  [Call] runs a closure (thread start, wake-up
+   from a blocking primitive).  [Phantom] is a [Call] that is scheduler
+   bookkeeping (e.g. a receive timeout) and may never fire: it must not
+   drag the horizon forward, or an unused timeout would inflate the
+   run's elapsed time. *)
+and event =
+  | Resume of thread * (unit, unit) Effect.Deep.continuation
+  | Call of (unit -> unit)
+  | Phantom of (unit -> unit)
 
 type _ Effect.t +=
+  | Yield : unit Effect.t
   | Suspend : (thread -> (unit, unit) Effect.Deep.continuation -> unit)
       -> unit Effect.t
 
-let compare_entry a b =
-  let c = compare a.at b.at in
-  if c <> 0 then c else compare a.ord b.ord
+(* Stands in for [current] outside a thread; the only negative [tid]. *)
+let no_thread = { tid = -1; clock = 0; phase = 0 }
 
 let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
   {
-    runq = Heap.create ~cmp:compare_entry;
+    runq = Heap.create ~dummy:(Call ignore);
     order = 0;
-    current = None;
+    current = no_thread;
     spawned = 0;
     completed = 0;
     busy = 0;
@@ -88,59 +95,64 @@ let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
     tracer;
   }
 
-let schedule ?(phantom = false) t ~at resume =
-  if (not phantom) && at > t.horizon then t.horizon <- at;
-  Heap.push t.runq { at; ord = t.order; phantom; resume };
+let schedule t ~at ev =
+  (match ev with
+  | Phantom _ -> ()
+  | Resume _ | Call _ -> if at > t.horizon then t.horizon <- at);
+  Heap.push t.runq ~at ~ord:t.order ev;
   t.order <- t.order + 1
 
 let cur t =
-  match t.current with
-  | Some th -> th
-  | None -> failwith "Sim: primitive used outside a simulated thread"
+  let th = t.current in
+  if th.tid < 0 then
+    failwith "Sim: primitive used outside a simulated thread";
+  th
 
-(* Build the closure that re-enters a parked thread. *)
-let make_resume t th k () =
-  t.current <- Some th;
+(* Re-enter a parked thread. *)
+let resume t th k =
+  t.current <- th;
   Effect.Deep.continue k ()
 
 (* Park the calling thread; [f] receives the thread and its continuation
-   and is responsible for scheduling it again (directly or via a waiter
-   list). *)
-let suspend (_ : t) f = Effect.perform (Suspend f)
-
-let reschedule t th k = schedule t ~at:th.clock (make_resume t th k)
+   and is responsible for scheduling it again (via a waiter list). *)
+let suspend t f =
+  ignore (cur t : thread);
+  Effect.perform (Suspend f)
 
 let spawn ?(at = 0) t body =
   let th = { tid = t.spawned; clock = at; phase = 0 } in
   t.spawned <- t.spawned + 1;
-  let start () =
-    t.current <- Some th;
-    Effect.Deep.match_with body ()
-      {
-        retc = (fun () -> t.completed <- t.completed + 1);
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Suspend f ->
-                Some
-                  (fun (k : (a, unit) Effect.Deep.continuation) -> f th k)
-            | _ -> None);
-      }
+  (* Built once per thread, so a yield allocates no handler closure: only
+     the continuation and its [Resume] entry. *)
+  let on_yield = Some (fun k -> schedule t ~at:th.clock (Resume (th, k))) in
+  let handler =
+    {
+      Effect.Deep.retc = (fun () -> t.completed <- t.completed + 1);
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Yield -> on_yield
+          | Suspend f -> Some (fun k -> f th k)
+          | _ -> None);
+    }
   in
-  schedule t ~at start
+  schedule t ~at
+    (Call
+       (fun () ->
+         t.current <- th;
+         Effect.Deep.match_with body () handler))
 
+(* [schedule] already moved the horizon to every non-phantom entry. *)
 let run t =
-  let rec loop () =
-    match Heap.pop t.runq with
-    | None -> ()
-    | Some e ->
-        if (not e.phantom) && e.at > t.horizon then t.horizon <- e.at;
-        e.resume ();
-        loop ()
-  in
-  loop ();
-  t.current <- None;
+  let q = t.runq in
+  while not (Heap.is_empty q) do
+    match Heap.pop q with
+    | Resume (th, k) -> resume t th k
+    | Call f | Phantom f -> f ()
+  done;
+  t.current <- no_thread;
   t.spawned - t.completed
 
 let now t = (cur t).clock
@@ -153,9 +165,8 @@ let advance t th n =
    keeps the virtual-time ordering invariant while avoiding a heap
    operation per tick on quiet cores. *)
 let maybe_yield t th =
-  match Heap.peek t.runq with
-  | Some e when e.at <= th.clock -> suspend t (fun th k -> reschedule t th k)
-  | Some _ | None -> ()
+  if (not (Heap.is_empty t.runq)) && Heap.min_at t.runq <= th.clock then
+    Effect.perform Yield
 
 (* Charge [dt] of idle time to [cause], starting at the thread's current
    clock; emits a wait span when tracing.  Does not move the clock. *)
@@ -180,7 +191,9 @@ let sleep t n =
   advance t th n;
   maybe_yield t th
 
-let yield t = suspend t (fun th k -> reschedule t th k)
+let yield t =
+  ignore (cur t : thread);
+  Effect.perform Yield
 
 let set_phase t ph = (cur t).phase <- phase_index ph
 
@@ -192,7 +205,7 @@ let phase_of_index = function
   | _ -> Ph_other
 
 let phase t = phase_of_index (cur t).phase
-let in_thread t = t.current <> None
+let in_thread t = t.current.tid >= 0
 let busy_time t = t.busy
 let busy_in t ph = t.busy_by_phase.(phase_index ph)
 let idle_time t = t.idle
@@ -203,15 +216,17 @@ let threads_completed t = t.completed
 let tracer t = t.tracer
 let current_tid t = (cur t).tid
 
-let wake t ~cause th at resume =
+let wake t ~cause th at k =
   let at = if at > th.clock then at else th.clock in
   let at = at + t.wake_cost in
-  schedule t ~at (fun () ->
-      if at > th.clock then begin
-        charge_idle t th cause (at - th.clock);
-        th.clock <- at
-      end;
-      resume ())
+  schedule t ~at
+    (Call
+       (fun () ->
+         if at > th.clock then begin
+           charge_idle t th cause (at - th.clock);
+           th.clock <- at
+         end;
+         resume t th k))
 
 (* A fast-path waiter (the value was produced at a virtual time ahead of
    the caller's clock) pays the same wake-up cost as a parked waiter
@@ -228,7 +243,7 @@ let catch_up t th cause target =
 
 module Ivar = struct
   type 'a state =
-    | Empty of (thread * (unit -> unit)) Vec.t
+    | Empty of (thread * (unit, unit) Effect.Deep.continuation) Vec.t
     | Full of time * 'a
 
   type 'a iv = { mutable st : 'a state }
@@ -242,7 +257,7 @@ module Ivar = struct
     | Empty waiters ->
         let at = now t in
         iv.st <- Full (at, v);
-        Vec.iter (fun (th, r) -> wake t ~cause:Cause_ivar th at r) waiters
+        Vec.iter (fun (th, k) -> wake t ~cause:Cause_ivar th at k) waiters
 
   let rec read t iv =
     match iv.st with
@@ -250,7 +265,7 @@ module Ivar = struct
         catch_up t (cur t) Cause_ivar tf;
         v
     | Empty waiters ->
-        suspend t (fun th k -> Vec.push waiters (th, make_resume t th k));
+        suspend t (fun th k -> Vec.push waiters (th, k));
         read t iv
 
   let peek iv = match iv.st with Full (_, v) -> Some v | Empty _ -> None
@@ -263,7 +278,7 @@ module Chan = struct
      the other becomes a no-op; send skips cancelled waiters lazily. *)
   type waiter = {
     wth : thread;
-    wresume : unit -> unit;
+    wk : (unit, unit) Effect.Deep.continuation;
     wdeadline : time;
     mutable cancelled : bool;
   }
@@ -281,36 +296,31 @@ module Chan = struct
       | Some w when w.cancelled -> wake_one ()
       | Some w ->
           w.cancelled <- true;
-          wake t ~cause:Cause_chan w.wth (min arrival w.wdeadline) w.wresume
+          wake t ~cause:Cause_chan w.wth (min arrival w.wdeadline) w.wk
     in
     wake_one ()
 
   let park t ch ~deadline =
     suspend t (fun th k ->
-        let w =
-          {
-            wth = th;
-            wresume = make_resume t th k;
-            wdeadline = deadline;
-            cancelled = false;
-          }
-        in
+        let w = { wth = th; wk = k; wdeadline = deadline; cancelled = false } in
         Queue.push w ch.waiters;
         if deadline < max_int then begin
           (* Timeout wake-up: phantom so an unfired (or cancelled)
              timeout never advances the horizon; the firing closure
              advances it itself via charge/clock update below. *)
           let at = deadline + t.wake_cost in
-          schedule ~phantom:true t ~at (fun () ->
-              if not w.cancelled then begin
-                w.cancelled <- true;
-                if at > th.clock then begin
-                  charge_idle t th Cause_chan (at - th.clock);
-                  th.clock <- at;
-                  if th.clock > t.horizon then t.horizon <- th.clock
-                end;
-                w.wresume ()
-              end)
+          schedule t ~at
+            (Phantom
+               (fun () ->
+                 if not w.cancelled then begin
+                   w.cancelled <- true;
+                   if at > th.clock then begin
+                     charge_idle t th Cause_chan (at - th.clock);
+                     th.clock <- at;
+                     if th.clock > t.horizon then t.horizon <- th.clock
+                   end;
+                   resume t th k
+                 end))
         end)
 
   let rec recv t ch =
@@ -370,7 +380,7 @@ module Barrier = struct
     parties : int;
     mutable arrived : int;
     mutable t_max : time;
-    mutable waiters : (thread * (unit -> unit)) list;
+    mutable waiters : (thread * (unit, unit) Effect.Deep.continuation) list;
   }
 
   let create parties =
@@ -387,7 +397,7 @@ module Barrier = struct
       b.arrived <- 0;
       b.t_max <- 0;
       b.waiters <- [];
-      List.iter (fun (wth, r) -> wake t ~cause:Cause_barrier wth release r)
+      List.iter (fun (wth, k) -> wake t ~cause:Cause_barrier wth release k)
         waiters;
       (* The last arriver pays the same wake-up cost as the waiters it
          releases: every party leaves the barrier at release + wake_cost. *)
@@ -399,8 +409,7 @@ module Barrier = struct
       end
     end
     else
-      suspend t (fun th k ->
-          b.waiters <- (th, make_resume t th k) :: b.waiters)
+      suspend t (fun th k -> b.waiters <- (th, k) :: b.waiters)
 end
 
 module Gate = struct

@@ -14,7 +14,13 @@
     by the running thread happen "at" its current clock, and the scheduler
     only runs the globally minimal runnable clock, so shared-state events
     are totally ordered by virtual time (ties broken by scheduling order,
-    deterministically). *)
+    deterministically).
+
+    Every primitive that reads or blocks the calling thread ([now], [tick],
+    [sleep], [yield], the blocking operations of {!Ivar}, {!Chan},
+    {!Barrier} and {!Gate}) raises
+    [Failure "Sim: primitive used outside a simulated thread"] when called
+    from outside a thread. *)
 
 type t
 type time = int
@@ -55,13 +61,16 @@ val now : t -> time
 
 val tick : t -> int -> unit
 (** Charge [n] ns of CPU work to the calling thread, yielding to any
-    thread whose wake-up time has been reached. *)
+    thread whose wake-up time has been reached (one due at or before the
+    new clock).  With no such thread the tick does not switch; a switch
+    allocates only the continuation and its run-queue entry. *)
 
 val sleep : t -> int -> unit
 (** Advance the clock by [n] ns of idle (not busy) time. *)
 
 val yield : t -> unit
-(** Reschedule at the current clock, letting equal-time threads run. *)
+(** Reschedule at the current clock, behind every thread already due at
+    or before it, so equal-time threads run first. *)
 
 val set_phase : t -> phase -> unit
 (** Label subsequent [tick]s of the calling thread with [phase]. *)

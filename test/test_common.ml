@@ -201,30 +201,42 @@ let prop_vec_model =
 
 (* ------------------------- Heap ------------------------- *)
 
-let test_heap_order () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some x ->
-        out := x :: !out;
-        drain ()
-    | None -> ()
+(* Drain [h], pairing each payload with the [at] key it was popped at. *)
+let heap_drain h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else
+      let at = Heap.min_at h in
+      let x = Heap.pop h in
+      go ((at, x) :: acc)
   in
-  drain ();
-  Alcotest.(check (list int)) "heap sorts" [ 9; 8; 5; 3; 2; 1 ] !out
+  go []
+
+let test_heap_order () =
+  let h = Heap.create ~dummy:"" in
+  (* Ties on [at] break by [ord], whatever the push order. *)
+  List.iter
+    (fun (at, ord, x) -> Heap.push h ~at ~ord x)
+    [ (5, 0, "e"); (3, 4, "c2"); (8, 2, "f"); (3, 1, "c1"); (1, 3, "a") ];
+  Tutil.check_int "length" 5 (Heap.length h);
+  Alcotest.(check (list (pair int string)))
+    "heap sorts by (at, ord)"
+    [ (1, "a"); (3, "c1"); (3, "c2"); (5, "e"); (8, "f") ]
+    (heap_drain h);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Heap.pop: empty")
+    (fun () -> ignore (Heap.pop h));
+  Alcotest.check_raises "min_at empty" (Invalid_argument "Heap.min_at: empty")
+    (fun () -> ignore (Heap.min_at h))
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pop order = sorted" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with Some x -> drain (x :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
+    QCheck.(list (int_bound 20))
+    (fun ats ->
+      (* Small [at] range, so most keys are duplicated; [ord] is the push
+         index, as in the simulator. *)
+      let h = Heap.create ~dummy:(-1) in
+      List.iteri (fun i at -> Heap.push h ~at ~ord:i i) ats;
+      heap_drain h = List.sort compare (List.mapi (fun i at -> (at, i)) ats))
 
 (* ------------------------- Bitset ------------------------- *)
 

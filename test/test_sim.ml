@@ -54,6 +54,133 @@ let test_determinism () =
   in
   Alcotest.(check string) "identical traces" (run_once ()) (run_once ())
 
+(* Golden interleaving: pins the scheduler's (at, ord) pop order across
+   every primitive, so a change to the run queue that reorders equal-time
+   threads or moves a wake-up shows up here.  [determinism] above only
+   compares two runs of one build and cannot catch that.  Each step logs
+   "<tag><tid>@<now>". *)
+let golden_log () =
+  let s = Sim.create ~wake_cost:3 () in
+  let log = Buffer.create 512 in
+  let step tag =
+    Buffer.add_string log
+      (Printf.sprintf "%s%d@%d " tag (Sim.current_tid s) (Sim.now s))
+  in
+  let iv = Sim.Ivar.create () in
+  let late = Sim.Ivar.create () in
+  let b = Sim.Barrier.create 3 in
+  let g = Sim.Gate.create 2 in
+  let ch = Sim.Chan.create () in
+  let quiet : int Sim.Chan.ch = Sim.Chan.create () in
+  let recv_to tag c timeout =
+    match Sim.Chan.recv_timeout s c ~timeout with
+    | Some v -> step (Printf.sprintf "%s+%d:" tag v)
+    | None -> step (tag ^ "-")
+  in
+  (* a and b start tied at 0 and tie again at 10. *)
+  Sim.spawn s (fun () ->
+      step "a";
+      Sim.tick s 10;
+      step "a";
+      Sim.yield s;
+      step "a";
+      Sim.Ivar.fill s iv 1;
+      step "a";
+      Sim.Chan.send ~delay:25 s ch 5;
+      step "a";
+      Sim.tick s 40;
+      Sim.Ivar.fill s late 2;
+      step "a";
+      Sim.Barrier.await s b;
+      step "a";
+      Sim.Gate.arrive s g;
+      step "a");
+  Sim.spawn s (fun () ->
+      step "b";
+      Sim.tick s 10;
+      step "b";
+      ignore (Sim.Ivar.read s iv);
+      step "b";
+      Sim.sleep s 7;
+      step "b";
+      (* The message arrives before the deadline: the timeout is
+         cancelled. *)
+      recv_to "b" ch 100;
+      Sim.yield s;
+      step "b";
+      Sim.Barrier.await s b;
+      step "b";
+      Sim.tick s 5;
+      Sim.Gate.arrive s g;
+      step "b");
+  Sim.spawn ~at:15 s (fun () ->
+      step "c";
+      (* Already full at an earlier time: the fast path, no wait. *)
+      ignore (Sim.Ivar.read s iv);
+      step "c";
+      (* Nothing is ever sent on [quiet]: this timeout fires. *)
+      recv_to "c" quiet 20;
+      (* Filled at 50, ahead of our clock: the fast path catches up. *)
+      ignore (Sim.Ivar.read s late);
+      step "c";
+      Sim.spawn ~at:(Sim.now s) s (fun () ->
+          step "d";
+          Sim.Gate.await s g;
+          step "d";
+          Sim.sleep s 4;
+          step "d");
+      Sim.tick s 1;
+      step "c";
+      Sim.Barrier.await s b;
+      step "c";
+      Sim.Gate.await s g;
+      step "c");
+  (* Spawned at a tie with c's start. *)
+  Sim.spawn ~at:15 s (fun () ->
+      step "e";
+      Sim.tick s 3;
+      step "e";
+      Sim.yield s;
+      step "e");
+  let parked = Sim.run s in
+  Buffer.add_string log
+    (Printf.sprintf "| parked=%d horizon=%d busy=%d idle=%d" parked
+       (Sim.horizon s) (Sim.busy_time s) (Sim.idle_time s));
+  Buffer.contents log
+
+let golden_expected =
+  "a0@0 b1@0 a0@10 b1@10 a0@10 a0@10 a0@10 b1@13 c2@15 c2@15 e3@15 e3@18 \
+   e3@18 b1@20 b+5:1@38 c-2@38 b1@38 a0@50 c2@53 d4@53 c2@54 c2@57 a0@57 \
+   a0@57 b1@57 b1@62 d4@65 c2@65 d4@69 | parked=0 horizon=69 busy=69 \
+   idle=119"
+
+let test_golden_interleaving () =
+  Alcotest.(check string) "pop order" golden_expected (golden_log ())
+
+(* Every blocking primitive fails the same way when called from outside a
+   simulated thread, rather than some escaping as [Effect.Unhandled]. *)
+let test_outside_thread () =
+  let s = Sim.create () in
+  let outside = Failure "Sim: primitive used outside a simulated thread" in
+  let iv : int Sim.Ivar.iv = Sim.Ivar.create () in
+  let ch : int Sim.Chan.ch = Sim.Chan.create () in
+  let b = Sim.Barrier.create 2 in
+  let g = Sim.Gate.create 1 in
+  let check name f = Alcotest.check_raises name outside f in
+  check "tick" (fun () -> Sim.tick s 1);
+  check "sleep" (fun () -> Sim.sleep s 1);
+  check "yield" (fun () -> Sim.yield s);
+  check "ivar read" (fun () -> ignore (Sim.Ivar.read s iv));
+  check "chan recv" (fun () -> ignore (Sim.Chan.recv s ch));
+  check "chan recv_timeout" (fun () ->
+      ignore (Sim.Chan.recv_timeout s ch ~timeout:5));
+  check "barrier await" (fun () -> Sim.Barrier.await s b);
+  check "gate await" (fun () -> Sim.Gate.await s g);
+  (* The same holds once a run has finished. *)
+  Sim.spawn s (fun () -> Sim.tick s 1);
+  Tutil.check_int "parked" 0 (Sim.run s);
+  check "yield after run" (fun () -> Sim.yield s)
+
 (* ------------------------- ivar ------------------------- *)
 
 let test_ivar_fill_then_read () =
@@ -380,6 +507,9 @@ let () =
             test_virtual_time_ordering;
           Alcotest.test_case "spawn at" `Quick test_spawn_at;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "golden interleaving" `Quick
+            test_golden_interleaving;
+          Alcotest.test_case "outside a thread" `Quick test_outside_thread;
           Alcotest.test_case "many threads" `Quick test_many_threads;
         ] );
       ( "ivar",
