@@ -82,6 +82,56 @@ let micro_tests () =
          }
          quecc_wl ~batches:1)
   in
+  (* The commit seam.  The log and the hub tick virtual time, so each
+     call runs one simulated thread on a simulator they share across
+     calls.  The log rolls a snapshot of its one-row database every
+     batch, which keeps the log from growing. *)
+  let module Db = Quill_storage.Db in
+  let module Table = Quill_storage.Table in
+  let module Row = Quill_storage.Row in
+  let module Wal = Quill_wal.Wal in
+  let module Cdc = Quill_cdc.Cdc in
+  let costs = Quill_sim.Costs.default in
+  let in_thread sim f () =
+    Sim.spawn sim f;
+    ignore (Sim.run sim)
+  in
+  let records = 1024 in
+  let wal_sim = Sim.create () in
+  let wal_db = Db.create ~nparts:1 in
+  ignore (Db.add_table wal_db ~name:"t" ~nfields:10 ~capacity:1);
+  let wal = Wal.create ~sim:wal_sim ~costs ~snapshot_every:1 wal_db in
+  let payload = Array.init 10 (fun i -> i * 1_000_003) in
+  let bno = ref 0 in
+  let wal_batch =
+    in_thread wal_sim (fun () ->
+        Wal.begin_batch wal ~batch_no:!bno;
+        for key = 1 to records do
+          Wal.log_effect wal ~table:0 ~home:0 ~key payload
+        done;
+        ignore (Wal.commit_batch wal ~batch_no:!bno ~txns:1);
+        incr bno)
+  in
+  let cdc_sim = Sim.create () in
+  let cdc_db = Db.create ~nparts:1 in
+  ignore (Db.add_table cdc_db ~name:"t" ~nfields:10 ~capacity:1024);
+  let cdc_tbl = Db.table cdc_db 0 in
+  let hub = Cdc.create ~sim:cdc_sim ~costs cdc_db in
+  let cdc_bno = ref 0 in
+  let cdc_batch =
+    in_thread cdc_sim (fun () ->
+        for key = 0 to 1023 do
+          let r = Table.dense cdc_tbl key in
+          r.Row.data.(0) <- r.Row.data.(0) + 1;
+          Cdc.stage hub ~table:0 ~key ~before:r.Row.committed
+            ~after:r.Row.data
+        done;
+        Cdc.publish hub ~batch_no:!cdc_bno ~txns:1024;
+        incr cdc_bno)
+  in
+  let image_db = Db.create ~nparts:4 in
+  ignore (Db.add_table image_db ~name:"t" ~nfields:10 ~capacity:100_000);
+  let db_image () = ignore (Sys.opaque_identity (Db.image image_db)) in
   [
     { name = "zipf-sample-0.99"; ops = 1; fn = zipf_sample };
     { name = "heap-push-pop"; ops = 1; fn = heap_push_pop };
@@ -90,6 +140,9 @@ let micro_tests () =
     { name = "sim-barrier-8x16"; ops = 1; fn = barrier };
     { name = "sim-contended-tick"; ops = fibers * ticks; fn = contended };
     { name = "quecc-256txn-batch"; ops = 1; fn = quecc_batch };
+    { name = "wal-log-effect"; ops = records; fn = wal_batch };
+    { name = "cdc-stage-publish-1k"; ops = 1; fn = cdc_batch };
+    { name = "db-image-100k"; ops = 1; fn = db_image };
   ]
 
 (* Stopwatch cross-check of the bechamel estimate: find a call count whose

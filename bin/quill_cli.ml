@@ -76,13 +76,19 @@ let run_cmd engine workload threads txns batch theta mp abort_ratio warehouses
       spec_lag;
     exit 2
   end;
-  if snapshot_every < 1 then begin
-    Printf.eprintf
-      "quill_cli: bad --snapshot-every %d (want a period of at least 1 \
-       batch)\n"
-      snapshot_every;
-    exit 2
-  end;
+  (match snapshot_every with
+  | Some n when n < 1 ->
+      Printf.eprintf
+        "quill_cli: bad --snapshot-every %d (want a period of at least 1 \
+         batch)\n"
+        n;
+      exit 2
+  | Some _ when not wal ->
+      prerr_endline
+        "quill_cli: --snapshot-every needs --wal (there is no log to \
+         snapshot)";
+      exit 2
+  | Some _ | None -> ());
   (* --split N: hot-key split threshold, a positive integer. *)
   let split =
     match split_spec with
@@ -160,7 +166,7 @@ let run_cmd engine workload threads txns batch theta mp abort_ratio warehouses
       let exp =
         E.make ~threads ~txns ~batch_size:batch ~faults ?clients ~pipeline
           ~steal ?split ~adapt_repart ~adapt_batch ~replicas ~spec_lag ~wal
-          ~snapshot_every ~cdc ~views e spec
+          ?snapshot_every ~cdc ~views e spec
       in
       let tracer =
         match trace_file with
@@ -435,12 +441,14 @@ let wal_t =
 
 let snapshot_every_t =
   Arg.(
-    value & opt int 8
+    value
+    & opt (some int) None
     & info [ "snapshot-every" ] ~docs:s_wal ~docv:"N"
         ~doc:
-          "WAL snapshot period in durable batches (>= 1): after every \
-           N-th durable batch the database is snapshotted and the log \
-           truncated, bounding replay length and log size.")
+          "WAL snapshot period in durable batches (>= 1, default 8; needs \
+           --wal): after every N-th durable batch the database is \
+           snapshotted and the log truncated, bounding replay length and \
+           log size.")
 
 let cdc_t =
   Arg.(

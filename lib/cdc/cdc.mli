@@ -30,6 +30,12 @@ type event = {
       (** committed pre-image; [None] for a row inserted by this batch *)
   after : int array;  (** committed post-image *)
 }
+(** Both images are copies the hub made (the pre-image at {!stage}, the
+    post-image at {!publish}) and are owned by the feed: the retention
+    ring, every subscriber and anything a consumer caches share the same
+    arrays.  Consumers must not mutate them — a consumer that needs a
+    mutable image copies it.  In exchange a consumer may keep an image
+    without copying it ({!Replica} does): nothing ever writes to it. *)
 
 type batch = {
   batch_no : int;
@@ -86,8 +92,9 @@ val stage :
   t -> table:int -> key:int -> before:int array -> after:int array -> unit
 (** Stage one dirtied row into the in-flight batch's change set.
     [before] is copied immediately (publish overwrites it); [after] is
-    read at {!publish} time, so the first call's pre-image and the
-    final post-image win regardless of staging order or duplication. *)
+    read — and copied — at {!publish} time, so the first call's
+    pre-image and the final post-image win regardless of staging order
+    or duplication. *)
 
 val stage_insert : t -> table:int -> key:int -> after:int array -> unit
 (** Stage a row inserted by the in-flight batch ([before = None]). *)

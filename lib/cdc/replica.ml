@@ -1,33 +1,41 @@
 module Db = Quill_storage.Db
 module Table = Quill_storage.Table
 module Row = Quill_storage.Row
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
   db : Db.t;
-  cache : (int * int, int array) Hashtbl.t;  (* (table, key) -> image *)
+  cache : int array Itbl.t array;  (* per table id: key -> image *)
   mutable cursor : int;
   mutable reads : int;
 }
 
-let create db = { db; cache = Hashtbl.create 1024; cursor = -1; reads = 0 }
+let create db =
+  {
+    db;
+    cache = Array.init (Db.ntables db) (fun _ -> Itbl.create 1024);
+    cursor = -1;
+    reads = 0;
+  }
 
 let consumer t =
+  (* The hub copied every post-image at publish and never touches it
+     again, so the cache can keep the event's array itself. *)
   let on_batch (b : Cdc.batch) =
     Array.iter
       (fun (ev : Cdc.event) ->
-        Hashtbl.replace t.cache (ev.Cdc.table, ev.Cdc.key)
-          (Array.copy ev.Cdc.after))
+        Itbl.replace t.cache.(ev.Cdc.table) ev.Cdc.key ev.Cdc.after)
       b.Cdc.events;
     t.cursor <- b.Cdc.batch_no
   in
   let on_snapshot db ~batch_no =
-    Hashtbl.reset t.cache;
+    Array.iter Itbl.reset t.cache;
     for tid = 0 to Db.ntables db - 1 do
-      let tbl = Db.table db tid in
+      let cache = t.cache.(tid) in
       let copy (row : Row.t) =
-        Hashtbl.replace t.cache (tid, row.Row.key)
-          (Array.copy row.Row.committed)
+        Itbl.replace cache row.Row.key (Array.copy row.Row.committed)
       in
+      let tbl = Db.table db tid in
       Table.iter_dense copy tbl;
       Table.iter_inserted copy tbl
     done;
@@ -38,19 +46,26 @@ let consumer t =
 
 let read t ~table ~key =
   t.reads <- t.reads + 1;
-  Hashtbl.find_opt t.cache (table, key)
+  if table >= 0 && table < Array.length t.cache then
+    Itbl.find_opt t.cache.(table) key
+  else None
 
 let cursor t = t.cursor
-let rows t = Hashtbl.length t.cache
+let rows t = Array.fold_left (fun n c -> n + Itbl.length c) 0 t.cache
 let reads t = t.reads
 
 let consistent_with t db =
-  (* lint: order-insensitive — conjunction over all cached rows *)
-  Hashtbl.fold
-    (fun (tid, key) img ok ->
-      ok
-      &&
-      match Table.find (Db.table db tid) key with
-      | Some row -> row.Row.committed = img
-      | None -> false)
-    t.cache true
+  let ok = ref true in
+  Array.iteri
+    (fun tid cache ->
+      (* a conjunction: visiting order does not matter *)
+      Itbl.iter
+        (fun key img ->
+          if !ok then
+            ok :=
+              match Table.find (Db.table db tid) key with
+              | Some row -> row.Row.committed = img
+              | None -> false)
+        cache)
+    t.cache;
+  !ok

@@ -48,7 +48,7 @@ type t = {
   replicas : int;
   spec_lag : int;
   wal : bool;
-  snapshot_every : int;
+  snapshot_every : int option;
   cdc : bool;
   views : bool;
 }
@@ -57,7 +57,7 @@ let make ?name ?(threads = 8) ?(txns = 20_000) ?(batch_size = 1024)
     ?(costs = Costs.default) ?(faults = Faults.none) ?clients
     ?(pipeline = false) ?(steal = false) ?split ?(adapt_repart = false)
     ?(adapt_batch = false) ?(replicas = 0) ?(spec_lag = 1) ?(wal = false)
-    ?(snapshot_every = 8) ?(cdc = false) ?(views = false) engine workload =
+    ?snapshot_every ?(cdc = false) ?(views = false) engine workload =
   let name =
     match name with Some n -> n | None -> engine_name engine
   in
@@ -138,8 +138,14 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
        ]);
   (* Cross-feature constraints (combinations of features the engine
      individually supports). *)
-  if t.snapshot_every < 1 then
-    invalid_arg "Experiment.run: --snapshot-every must be >= 1";
+  (match t.snapshot_every with
+  | Some n when n < 1 ->
+      invalid_arg "Experiment.run: --snapshot-every must be >= 1"
+  | Some _ when not t.wal ->
+      invalid_arg
+        "Experiment.run: --snapshot-every needs --wal (there is no log to \
+         snapshot)"
+  | Some _ | None -> ());
   let dist = Capability.mem Capability.Dist M.caps in
   (* Crash and disk faults on a centralized engine are only survivable
      through the WAL. *)
@@ -220,7 +226,8 @@ let run ?(tracer = Trace.null) ?recorder ?on_workload ?on_cdc t =
                fsync_fail_at = t.faults.Faults.fsync_fail_at;
                corrupt_off = t.faults.Faults.corrupt_off;
              }
-           ~sim ~costs:t.costs ~snapshot_every:t.snapshot_every
+           ~sim ~costs:t.costs
+           ~snapshot_every:(Option.value t.snapshot_every ~default:8)
            wl.Quill_txn.Workload.db)
   in
   (* The CDC hub hangs off the same commit seam as the WAL.  Two

@@ -82,10 +82,12 @@ type t = {
           and the quecc family) — {!run} raises [Invalid_argument]
           otherwise.  Required for crash or disk faults on a centralized
           engine. *)
-  snapshot_every : int;
-      (** WAL snapshot period in durable batches (>= 1, default 8):
-          after every [snapshot_every]-th durable batch the database is
-          snapshotted and the log truncated. *)
+  snapshot_every : int option;
+      (** WAL snapshot period in durable batches (>= 1; [None] = the
+          default, 8): after every [snapshot_every]-th durable batch the
+          database is snapshotted and the log truncated.  An explicit
+          period without [wal] makes {!run} raise [Invalid_argument]:
+          there is no log for it to act on. *)
   cdc : bool;
       (** ordered change-data-capture: a {!Quill_cdc.Cdc} hub is hooked
           at the engine's batch commit point and a bounded-staleness

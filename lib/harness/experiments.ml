@@ -668,7 +668,8 @@ let durability ?(scale = 1.0) ?json () =
   let run_one label engine ~txns ~wal ~faults =
     let e =
       E.make ~name:label ~threads ~txns ~batch_size ~faults ~wal
-        ~snapshot_every:8 engine spec
+        ?snapshot_every:(if wal then Some 8 else None)
+        engine spec
     in
     let wl_ref = ref None in
     let m = E.run ~tracer:!tracer ~on_workload:(fun wl -> wl_ref := Some wl) e in

@@ -90,48 +90,50 @@ let exec_one st ctx txn =
   (match go 0 with
   | Exec.Ok ->
       txn.Txn.status <- Txn.Committed;
-      (* Stage CDC images before publish overwrites [committed]: the
-         hub keeps the first pre-image and the final post-image per
-         key, so per-transaction staging within a commit group
-         collapses to exactly the group's state delta. *)
-      (match st.cdc with
-      | Some c ->
-          List.iter
-            (fun (tid, (row : Row.t)) ->
-              Cdc.stage c ~table:tid ~key:row.Row.key
-                ~before:row.Row.committed ~after:row.Row.data)
-            st.written;
-          List.iter
-            (fun (tid, key) ->
-              match Table.find (Db.table st.db tid) key with
-              | Some row ->
-                  Cdc.stage_insert c ~table:tid ~key ~after:row.Row.data
-              | None -> ())
-            st.inserts
-      | None -> ());
+      (* The commit seam, one walk over the transaction's write set
+         before publish overwrites [committed]: CDC stages (committed,
+         data) — the hub keeps the first pre-image and the final
+         post-image per key, so per-transaction staging within a commit
+         group collapses to exactly the group's state delta — and the
+         WAL group buffer gets [data], which is what publish installs as
+         [committed] (the flush happens at the group-commit boundary in
+         [run_list]).  Replay applies effects in log order, so
+         per-transaction emission with duplicates is idempotent — the
+         last image of a row wins. *)
+      if st.wal <> None || st.cdc <> None then begin
+        List.iter
+          (fun (tid, (row : Row.t)) ->
+            let key = row.Row.key in
+            (match st.cdc with
+            | Some c ->
+                Cdc.stage c ~table:tid ~key ~before:row.Row.committed
+                  ~after:row.Row.data
+            | None -> ());
+            match st.wal with
+            | Some w ->
+                Wal.log_effect w ~table:tid
+                  ~home:(Table.home_of_key (Db.table st.db tid) key)
+                  ~key row.Row.data
+            | None -> ())
+          st.written;
+        List.iter
+          (fun (tid, key) ->
+            let tbl = Db.table st.db tid in
+            match Table.find tbl key with
+            | Some row ->
+                (match st.cdc with
+                | Some c ->
+                    Cdc.stage_insert c ~table:tid ~key ~after:row.Row.data
+                | None -> ());
+                (match st.wal with
+                | Some w ->
+                    Wal.log_effect w ~table:tid
+                      ~home:(Table.home_of_key tbl key) ~key row.Row.data
+                | None -> ())
+            | None -> ())
+          st.inserts
+      end;
       List.iter (fun (_, row) -> Row.publish row) st.written;
-      (* Log the committed images into the WAL group buffer (the flush
-         happens at the group-commit boundary in [run_list]).  Replay
-         applies effects in log order, so per-transaction emission with
-         duplicates is idempotent — the last image of a row wins. *)
-      (match st.wal with
-      | Some w ->
-          List.iter
-            (fun (tid, (row : Row.t)) ->
-              Wal.log_effect w ~table:tid
-                ~home:(Table.home_of_key (Db.table st.db tid) row.Row.key)
-                ~key:row.Row.key row.Row.committed)
-            st.written;
-          List.iter
-            (fun (tid, key) ->
-              let tbl = Db.table st.db tid in
-              match Table.find tbl key with
-              | Some row ->
-                  Wal.log_effect w ~table:tid
-                    ~home:(Table.home_of_key tbl key) ~key row.Row.committed
-              | None -> ())
-            st.inserts
-      | None -> ());
       st.metrics.Metrics.committed <- st.metrics.Metrics.committed + 1
   | Exec.Abort | Exec.Blocked ->
       List.iter

@@ -1261,68 +1261,60 @@ let account ?clients sh ~parity =
 (* Durability: group-commit WAL and crash recovery                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Emit the batch's write set into the WAL group buffer.  Runs in the
-   recover phase, after cascade recovery has settled every row but
-   BEFORE publish clears the touched vectors: a touched row's [data] at
-   this point is exactly the image publish will install as committed, so
-   logging [data] now equals logging [committed] later.  A touched row
-   whose key no longer resolves was a rolled-back insert — skipped.  The
-   flush itself ([wal_flush]) happens after the publish barrier, so a
-   snapshot roll clones the fully published database. *)
-let wal_emit sh ~bno =
-  match sh.wal with
-  | None -> ()
-  | Some w ->
-      Wal.begin_batch w ~batch_no:bno;
-      Array.iter
-        (fun touched ->
-          Vec.iter
-            (fun (tid, (row : Row.t)) ->
-              let tbl = Db.table sh.db tid in
-              match Table.find tbl row.Row.key with
-              | Some r ->
-                  Wal.log_effect w ~table:tid
-                    ~home:(Table.home_of_key tbl r.Row.key)
-                    ~key:r.Row.key r.Row.data
+(* The commit seam: one walk over the batch's write set feeds both the
+   WAL group buffer and the CDC staging area.  Runs in the recover phase,
+   after cascade recovery has settled every row but BEFORE publish clears
+   the touched vectors and overwrites [committed]: a touched row's
+   [data] at this point is exactly the image publish will install, so
+   logging [data] now equals logging [committed] later, and each row
+   yields exactly (pre-batch committed, post-batch data) for the feed.
+   A row whose [inserter] is still set was inserted by this batch
+   (publish resets the mark); one whose key no longer resolves was a
+   rolled-back insert — skipped.  The hub dedupes rows touched from
+   several executor slots.  The flush ([wal_flush]) and the feed seal
+   ([cdc_seal]) happen after the publish barrier, so a snapshot roll
+   images the fully published database. *)
+let commit_emit sh ~bno =
+  if sh.wal <> None || sh.cdc <> None then begin
+    let emit tid tbl (r : Row.t) =
+      let key = r.Row.key in
+      (match sh.wal with
+      | Some w ->
+          Wal.log_effect w ~table:tid ~home:(Table.home_of_key tbl key) ~key
+            r.Row.data
+      | None -> ());
+      match sh.cdc with
+      | Some c ->
+          if r.Row.inserter >= 0 then
+            Cdc.stage_insert c ~table:tid ~key ~after:r.Row.data
+          else
+            Cdc.stage c ~table:tid ~key ~before:r.Row.committed
+              ~after:r.Row.data
+      | None -> ()
+    in
+    Option.iter (fun w -> Wal.begin_batch w ~batch_no:bno) sh.wal;
+    Array.iter
+      (fun touched ->
+        Vec.iter
+          (fun (tid, (row : Row.t)) ->
+            let tbl = Db.table sh.db tid in
+            let key = row.Row.key in
+            (* a dense row always resolves to itself *)
+            if key >= 0 && key < Table.capacity tbl then emit tid tbl row
+            else
+              match Table.find tbl key with
+              | Some r -> emit tid tbl r
               | None -> ())
-            touched)
-        sh.touched
-
-(* Stage the batch's change set into the CDC hub at the same seam
-   [wal_emit] uses: every status is settled but publish has not yet
-   overwritten the [committed] pre-images, so each touched row yields
-   exactly (pre-batch committed, post-batch data).  A row whose
-   [inserter] is still set was inserted by this batch (publish resets
-   the mark); one whose key no longer resolves was a rolled-back insert
-   — skipped.  The hub dedupes rows touched from several executor
-   slots. *)
-let cdc_emit sh =
-  match sh.cdc with
-  | None -> ()
-  | Some c ->
-      Array.iter
-        (fun touched ->
-          Vec.iter
-            (fun (tid, (row : Row.t)) ->
-              let tbl = Db.table sh.db tid in
-              match Table.find tbl row.Row.key with
-              | Some r ->
-                  if r.Row.inserter >= 0 then
-                    Cdc.stage_insert c ~table:tid ~key:r.Row.key
-                      ~after:r.Row.data
-                  else
-                    Cdc.stage c ~table:tid ~key:r.Row.key
-                      ~before:r.Row.committed ~after:r.Row.data
-              | None -> ())
-            touched)
-        sh.touched
+          touched)
+      sh.touched
+  end
 
 (* Group commit: append the commit marker and flush the whole batch with
    one modeled fsync.  [txns] counts this batch's committed
    transactions, so the durable-transaction boundary equals the
    committed count at every durable batch.  Called with the batch
    published and every other thread parked short of the next batch's row
-   accesses, so the snapshot [Db.clone] inside cannot race a writer. *)
+   accesses, so the snapshot [Db.image] inside cannot race a writer. *)
 let wal_flush sh ~txns ~bno =
   match sh.wal with
   | None -> ()
@@ -1452,8 +1444,7 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
                 else begin
                   if cfg.mode = Speculative then recover sh ~parity:0
                   else finalize_statuses sh ~parity:0;
-                  wal_emit sh ~bno:sh.batch_no;
-                  cdc_emit sh;
+                  commit_emit sh ~bno:sh.batch_no;
                   wal_txns := committed_in sh ~parity:0;
                   account_fn ();
                   rebalance sh ~bno:sh.batch_no
@@ -1465,7 +1456,7 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
                 if t = 0 then publish_slot sh cfg.executors);
           Sim.Barrier.await sim barrier;
           (* Group-commit flush after the publish barrier so a snapshot
-             roll clones fully published state; the next batch's
+             roll images fully published state; the next batch's
              executors are held at the post-plan barrier until thread 0
              arrives, so the flush cannot race a row access. *)
           if t = 0 then
@@ -1716,8 +1707,7 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
                   else begin
                     if cfg.mode = Speculative then recover sh ~parity
                     else finalize_statuses sh ~parity;
-                    wal_emit sh ~bno:b;
-                    cdc_emit sh;
+                    commit_emit sh ~bno:b;
                     wal_txns := committed_in sh ~parity;
                     account ?clients sh ~parity;
                     rebalance sh ~bno:b
@@ -1748,7 +1738,7 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
             if e = 0 then begin
               Sim.Gate.await sim (gate published_g ~parties:cfg.executors b);
               (* Group-commit flush once every slot of b is published (a
-                 snapshot roll clones fully published state); executors
+                 snapshot roll images fully published state); executors
                  of b+1 are still parked on start(b+1), which is filled
                  below in [loop], so the flush cannot race a row
                  access. *)

@@ -105,3 +105,33 @@ let overwrite_from ~src dst =
   Vec.iteri
     (fun i idx -> Index.overwrite_from ~src:(Vec.get src.indexes i) idx)
     dst.indexes
+
+type image = {
+  i_nparts : int;
+  i_tables : Table.image array;
+  i_indexes : Index.t array;
+}
+
+let image ?reuse t =
+  let table i tbl =
+    match reuse with
+    | Some img when i < Array.length img.i_tables ->
+        Table.image ~reuse:img.i_tables.(i) tbl
+    | Some _ | None -> Table.image tbl
+  in
+  {
+    i_nparts = t.nparts;
+    i_tables = Array.mapi table (Vec.to_array t.tables);
+    i_indexes = Array.map Index.clone (Vec.to_array t.indexes);
+  }
+
+let restore img dst =
+  if
+    dst.nparts <> img.i_nparts
+    || Vec.length dst.tables <> Array.length img.i_tables
+    || Vec.length dst.indexes <> Array.length img.i_indexes
+  then invalid_arg "Db.restore: shape mismatch";
+  Vec.iteri (fun i tbl -> Table.restore img.i_tables.(i) tbl) dst.tables;
+  Vec.iteri
+    (fun i idx -> Index.overwrite_from ~src:img.i_indexes.(i) idx)
+    dst.indexes

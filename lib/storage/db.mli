@@ -35,7 +35,8 @@ val live_checksum : t -> int
 val clone : t -> t
 (** Deep-copy every table and index (payloads, dynamic rows, index
     cursors); protocol CC metadata starts fresh.  Replica databases for
-    the HA replication layer are stood up with this. *)
+    the HA replication layer are stood up with this: they need a live
+    database.  A copy that is only ever restored from is an {!image}. *)
 
 val overwrite_from : src:t -> t -> unit
 (** [overwrite_from ~src dst] makes [dst]'s visible state (table
@@ -43,3 +44,19 @@ val overwrite_from : src:t -> t -> unit
     match.  After a leader failover the surviving replica's database is
     synced back into the harness's [Workload.db] with this, so
     [checksum] reflects the replicated state. *)
+
+type image
+(** A flat point-in-time copy of the visible state — per table one
+    committed-payload array ({!Table.image}), plus copies of the indexes.
+    The WAL's snapshots are images: taking one allocates a few arrays
+    where {!clone} allocates a row per key. *)
+
+val image : ?reuse:image -> t -> image
+(** [reuse] is an image the new one replaces (see {!Table.image}); it
+    must not be restored afterwards. *)
+
+val restore : image -> t -> unit
+(** [restore img dst] makes [dst]'s visible state identical to the
+    database the image was taken from — the same result as
+    [overwrite_from] from a {!clone} taken at that moment; shapes must
+    match.  The image can be restored again. *)

@@ -51,6 +51,8 @@ let sorted_skeys t =
   let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.tbl [] in
   List.sort compare keys
 
+let bindings t = List.map (fun sk -> (sk, find t sk)) (sorted_skeys t)
+
 let clone t =
   let tbl = Hashtbl.create (max 1024 (Hashtbl.length t.tbl)) in
   List.iter

@@ -22,6 +22,10 @@ val pop_min : t -> int -> int option
 
 val size : t -> int
 
+val bindings : t -> (int * int list) list
+(** Every secondary key with its primary keys as {!find} returns them,
+    in ascending secondary-key order. *)
+
 val clone : t -> t
 (** Deep copy (entry vectors and FIFO cursors); deterministic regardless
     of hash-bucket layout. *)

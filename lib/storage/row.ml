@@ -43,6 +43,12 @@ let make ~key ~nfields =
 
 let nfields t = Array.length t.data
 
+let rec equal_from (a : int array) (b : int array) i =
+  i = Array.length a
+  || (Array.unsafe_get a i = Array.unsafe_get b i && equal_from a b (i + 1))
+
+let payload_equal a b = Array.length a = Array.length b && equal_from a b 0
+
 let publish t =
   Array.blit t.data 0 t.committed 0 (Array.length t.data);
   t.dirty <- false

@@ -51,6 +51,9 @@ and version = {
 val make : key:int -> nfields:int -> t
 val nfields : t -> int
 
+val payload_equal : int array -> int array -> bool
+(** Field-by-field equality of two payloads, without allocating. *)
+
 val publish : t -> unit
 (** Copy live data into the committed version and clear [dirty]. *)
 

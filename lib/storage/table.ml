@@ -154,5 +154,105 @@ let overwrite_from ~src dst =
     (fun k -> Hashtbl.replace dst.dyn_home k (Hashtbl.find src.dyn_home k))
     (sorted_dyn_keys src)
 
+(* A flat image: dense committed payloads row-major in one int array, the
+   few dense rows whose live payload or dirty bit differs from that, and
+   the dynamic region with its homes in ascending key order. *)
+type image = {
+  i_name : string;
+  i_nfields : int;
+  i_committed : int array;
+  i_live : (int * int array * bool) list;  (* (key, data, dirty) *)
+  i_dyn : dyn_image array;
+}
+
+and dyn_image = {
+  d_key : int;
+  d_home : int;
+  d_data : int array;
+  d_committed : int array;
+  d_dirty : bool;
+}
+
+let image ?reuse t =
+  let nf = t.nfields in
+  let len = Array.length t.rows * nf in
+  let committed =
+    match reuse with
+    | Some img when Array.length img.i_committed = len -> img.i_committed
+    | Some _ | None -> Array.make len 0
+  in
+  let live = ref [] in
+  for i = Array.length t.rows - 1 downto 0 do
+    let r = t.rows.(i) in
+    let c : int array = r.Row.committed in
+    let base = i * nf in
+    for f = 0 to nf - 1 do
+      Array.unsafe_set committed (base + f) (Array.unsafe_get c f)
+    done;
+    if r.Row.dirty || not (Row.payload_equal r.Row.data c) then
+      live := (i, Array.copy r.Row.data, r.Row.dirty) :: !live
+  done;
+  let dyn =
+    List.map
+      (fun k ->
+        let r = Hashtbl.find t.dyn k in
+        {
+          d_key = k;
+          d_home = Hashtbl.find t.dyn_home k;
+          d_data = Array.copy r.Row.data;
+          d_committed = Array.copy r.Row.committed;
+          d_dirty = r.Row.dirty;
+        })
+      (sorted_dyn_keys t)
+  in
+  {
+    i_name = t.name;
+    i_nfields = nf;
+    i_committed = committed;
+    i_live = !live;
+    i_dyn = Array.of_list dyn;
+  }
+
+let restore img dst =
+  let nf = dst.nfields in
+  if dst.name <> img.i_name || nf <> img.i_nfields
+     || Array.length dst.rows * nf <> Array.length img.i_committed
+  then invalid_arg "Table.restore: shape mismatch";
+  let committed = img.i_committed in
+  Array.iteri
+    (fun i (d : Row.t) ->
+      let base = i * nf in
+      let dc : int array = d.Row.committed and dd : int array = d.Row.data in
+      for f = 0 to nf - 1 do
+        let v = Array.unsafe_get committed (base + f) in
+        Array.unsafe_set dc f v;
+        Array.unsafe_set dd f v
+      done;
+      d.Row.dirty <- false)
+    dst.rows;
+  List.iter
+    (fun (key, data, dirty) ->
+      let d = dst.rows.(key) in
+      Array.blit data 0 d.Row.data 0 nf;
+      d.Row.dirty <- dirty)
+    img.i_live;
+  (* Dynamic region, as in [overwrite_from]: drop rows absent from the
+     image, then install fresh rows for every imaged one. *)
+  let keep = Hashtbl.create (max 16 (Array.length img.i_dyn)) in
+  Array.iter (fun d -> Hashtbl.replace keep d.d_key ()) img.i_dyn;
+  List.iter
+    (fun k -> if not (Hashtbl.mem keep k) then Hashtbl.remove dst.dyn k)
+    (sorted_dyn_keys dst);
+  Array.iter
+    (fun d ->
+      let r = Row.make ~key:d.d_key ~nfields:nf in
+      Array.blit d.d_data 0 r.Row.data 0 nf;
+      Array.blit d.d_committed 0 r.Row.committed 0 nf;
+      r.Row.dirty <- d.d_dirty;
+      Hashtbl.replace dst.dyn d.d_key r)
+    img.i_dyn;
+  Hashtbl.reset dst.dyn_home;
+  Array.iter (fun d -> Hashtbl.replace dst.dyn_home d.d_key d.d_home) img.i_dyn
+
 let iter_dense f t = Array.iter f t.rows
 let row_bytes t = t.nfields * 8

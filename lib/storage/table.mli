@@ -67,5 +67,26 @@ val overwrite_from : src:t -> t -> unit
     [Invalid_argument] when the shapes differ.  Used after a failover to
     sync the surviving replica's state back into the harness database. *)
 
+type image
+(** A flat point-in-time copy of a table's visible state: every dense
+    row's committed payload in one int array, a sparse list of the dense
+    rows whose live payload differs from it or that are dirty, and the
+    dynamic rows with their homes.  No [Row.t] is allocated for the
+    dense region, so taking an image costs one array, not one row per
+    key. *)
+
+val image : ?reuse:image -> t -> image
+(** [reuse] is an image the new one replaces: its payload array is
+    recycled when the shapes match, so it must not be restored
+    afterwards. *)
+
+val restore : image -> t -> unit
+(** [restore img dst] makes [dst]'s payloads (live + committed + dirty
+    bits, dense and dynamic regions, dynamic homes) identical to the
+    table the image was taken from — the same result as
+    [overwrite_from] from a clone taken at that moment.  Raises
+    [Invalid_argument] when the shapes differ.  The image is not
+    consumed: it can be restored again. *)
+
 val row_bytes : t -> int
 (** Approximate payload size of one row in bytes (fields x 8). *)

@@ -4,6 +4,7 @@ module Db = Quill_storage.Db
 module Table = Quill_storage.Table
 module Row = Quill_storage.Row
 module Metrics = Quill_txn.Metrics
+module Djb2 = Quill_common.Djb2
 
 type disk = {
   torn_rec : int option;
@@ -28,11 +29,16 @@ type t = {
   snapshot_every : int;
   db : Db.t;  (* the live database the run mutates; snapshot source *)
   log : Buffer.t;  (* bytes on the modeled disk (since last truncation) *)
-  pending : (int * string) Queue.t;  (* (rec_no, record) awaiting flush *)
-  mutable pending_bytes : int;
+  (* The group awaiting flush, framed in place: [pending_recs] records
+     in [pending.[0 .. pending_len)], record [i] starting at
+     [rec_offs.(i)].  Only a torn write needs the offsets. *)
+  mutable pending : Bytes.t;
+  mutable pending_len : int;
+  mutable rec_offs : int array;
+  mutable pending_recs : int;
   mutable rec_no : int;  (* records ever appended, across truncations *)
   mutable wedged : bool;  (* a torn write killed the disk *)
-  mutable snapshot : Db.t;
+  mutable snapshot : Db.image;
   mutable snap_batch : int;
   mutable snap_txns : int;
   mutable durable_batch : int;
@@ -60,13 +66,15 @@ let create ?(disk = no_disk_faults) ~sim ~costs ~snapshot_every db =
     snapshot_every;
     db;
     log = Buffer.create 4096;
-    pending = Queue.create ();
-    pending_bytes = 0;
+    pending = Bytes.create 4096;
+    pending_len = 0;
+    rec_offs = Array.make 256 0;
+    pending_recs = 0;
     rec_no = 0;
     wedged = false;
     (* The creation-time snapshot: recovery always has a base, even
        before the first snapshot roll. *)
-    snapshot = Db.clone db;
+    snapshot = Db.image db;
     snap_batch = -1;
     snap_txns = 0;
     durable_batch = -1;
@@ -86,91 +94,108 @@ let durable_txns t = t.durable_txns
 let log_size t = Buffer.length t.log
 
 (* djb2 over the type byte + payload, masked to 32 bits. *)
-let crc s off len =
-  let h = ref 5381 in
-  for i = off to off + len - 1 do
-    h := (((!h lsl 5) + !h) + Char.code (String.unsafe_get s i)) land 0xffff_ffff
-  done;
-  !h
+let crc b off len = Djb2.bytes 5381 b off len
 
-let scratch = Buffer.create 256
+(* Open a record of [plen] payload bytes at the end of the group: write
+   its length and type, note its offset, and return the offset of its
+   payload, which the caller fills before {!close_record}. *)
+let open_record t ty plen =
+  let p = t.pending_len in
+  let need = p + 9 + plen in
+  if need > Bytes.length t.pending then begin
+    let b = Bytes.create (max need (2 * Bytes.length t.pending)) in
+    Bytes.blit t.pending 0 b 0 p;
+    t.pending <- b
+  end;
+  if t.pending_recs = Array.length t.rec_offs then begin
+    let a = Array.make (2 * t.pending_recs) 0 in
+    Array.blit t.rec_offs 0 a 0 t.pending_recs;
+    t.rec_offs <- a
+  end;
+  t.rec_offs.(t.pending_recs) <- p;
+  t.pending_recs <- t.pending_recs + 1;
+  Bytes.set_int32_le t.pending p (Int32.of_int plen);
+  Bytes.set t.pending (p + 4) (Char.chr ty);
+  p + 5
 
-let append t ty payload =
-  Buffer.clear scratch;
-  Buffer.add_int32_le scratch (Int32.of_int (String.length payload));
-  Buffer.add_char scratch (Char.chr ty);
-  Buffer.add_string scratch payload;
-  let body = Buffer.contents scratch in
-  let c = crc body 4 (1 + String.length payload) in
-  Buffer.clear scratch;
-  Buffer.add_string scratch body;
-  Buffer.add_int32_le scratch (Int32.of_int c);
-  let rec_bytes = Buffer.contents scratch in
-  Queue.add (t.rec_no, rec_bytes) t.pending;
+(* Seal the record whose payload starts at [base]: the crc covers the
+   type byte and the payload. *)
+let close_record t base plen =
+  let c = crc t.pending (base - 1) (1 + plen) in
+  Bytes.set_int32_le t.pending (base + plen) (Int32.of_int c);
+  t.pending_len <- base + plen + 4;
   t.rec_no <- t.rec_no + 1;
-  t.pending_bytes <- t.pending_bytes + String.length rec_bytes;
-  t.bytes_appended <- t.bytes_appended + String.length rec_bytes
+  t.bytes_appended <- t.bytes_appended + 9 + plen
 
-let payload_buf = Buffer.create 256
+let set_i32 t off v = Bytes.set_int32_le t.pending off (Int32.of_int v)
+let set_i64 t off v = Bytes.set_int64_le t.pending off (Int64.of_int v)
 
 let begin_batch t ~batch_no =
-  Buffer.clear payload_buf;
-  Buffer.add_int64_le payload_buf (Int64.of_int batch_no);
-  append t t_header (Buffer.contents payload_buf)
+  let base = open_record t t_header 8 in
+  set_i64 t base batch_no;
+  close_record t base 8
 
 let log_effect t ~table ~home ~key payload =
-  Buffer.clear payload_buf;
-  Buffer.add_int32_le payload_buf (Int32.of_int table);
-  Buffer.add_int32_le payload_buf (Int32.of_int home);
-  Buffer.add_int64_le payload_buf (Int64.of_int key);
-  Buffer.add_int32_le payload_buf (Int32.of_int (Array.length payload));
-  Array.iter
-    (fun v -> Buffer.add_int64_le payload_buf (Int64.of_int v))
-    payload;
-  append t t_effect (Buffer.contents payload_buf)
+  let nf = Array.length payload in
+  let plen = 20 + (8 * nf) in
+  let base = open_record t t_effect plen in
+  set_i32 t base table;
+  set_i32 t (base + 4) home;
+  set_i64 t (base + 8) key;
+  set_i32 t (base + 16) nf;
+  for i = 0 to nf - 1 do
+    set_i64 t (base + 20 + (8 * i)) (Array.unsafe_get payload i)
+  done;
+  close_record t base plen
 
 (* One modeled fsync of the whole pending group.  A failing fsync is
    reported to the caller; a torn write is NOT — the record loses half
    its bytes, the disk wedges, and only the recovery scan's checksums
    find out.  Either way the group buffer is consumed. *)
 let flush t =
-  let bytes = t.pending_bytes in
+  let bytes = t.pending_len in
   Sim.tick t.sim (t.costs.Costs.wal_fsync + bytes * t.costs.Costs.wal_byte / 1000);
   let fail =
     match t.disk.fsync_fail_at with
     | Some at -> Sim.now t.sim >= at
     | None -> false
   in
-  let fully_persisted = ref true in
-  if fail then begin
-    t.fsync_fails <- t.fsync_fails + 1;
-    fully_persisted := false;
-    Queue.clear t.pending
-  end
-  else begin
-    t.fsyncs <- t.fsyncs + 1;
-    Queue.iter
-      (fun (rno, rec_bytes) ->
-        if t.wedged then fully_persisted := false
-        else
-          match t.disk.torn_rec with
-          | Some k when rno = k ->
-              Buffer.add_substring t.log rec_bytes 0
-                (String.length rec_bytes / 2);
-              t.wedged <- true;
-              fully_persisted := false
-          | _ -> Buffer.add_string t.log rec_bytes)
-      t.pending;
-    Queue.clear t.pending
-  end;
-  t.pending_bytes <- 0;
-  (not fail, !fully_persisted)
+  let fully_persisted =
+    if fail then begin
+      t.fsync_fails <- t.fsync_fails + 1;
+      false
+    end
+    else begin
+      t.fsyncs <- t.fsyncs + 1;
+      if t.wedged then false
+      else
+        let first = t.rec_no - t.pending_recs in
+        match t.disk.torn_rec with
+        | Some k when k >= first && k < t.rec_no ->
+            (* records before [k] persist, [k] keeps half its bytes *)
+            let i = k - first in
+            let off = t.rec_offs.(i) in
+            let next =
+              if i + 1 < t.pending_recs then t.rec_offs.(i + 1)
+              else t.pending_len
+            in
+            Buffer.add_subbytes t.log t.pending 0 (off + ((next - off) / 2));
+            t.wedged <- true;
+            false
+        | _ ->
+            Buffer.add_subbytes t.log t.pending 0 t.pending_len;
+            true
+    end
+  in
+  t.pending_len <- 0;
+  t.pending_recs <- 0;
+  (not fail, fully_persisted)
 
 let commit_batch t ~batch_no ~txns =
-  Buffer.clear payload_buf;
-  Buffer.add_int64_le payload_buf (Int64.of_int batch_no);
-  Buffer.add_int64_le payload_buf (Int64.of_int txns);
-  append t t_commit (Buffer.contents payload_buf);
+  let base = open_record t t_commit 16 in
+  set_i64 t base batch_no;
+  set_i64 t (base + 8) txns;
+  close_record t base 16;
   let reported_ok, durable = flush t in
   if reported_ok then t.group_txns <- t.group_txns + txns;
   if durable then begin
@@ -181,7 +206,7 @@ let commit_batch t ~batch_no ~txns =
        barrier, so recovery time and log size stay bounded. *)
     if (batch_no + 1) mod t.snapshot_every = 0 then begin
       Sim.tick t.sim t.costs.Costs.wal_fsync;
-      t.snapshot <- Db.clone t.db;
+      t.snapshot <- Db.image ~reuse:t.snapshot t.db;
       t.snap_batch <- batch_no;
       t.snap_txns <- t.durable_txns;
       Buffer.clear t.log;
@@ -206,16 +231,15 @@ let apply_effect db ~table ~home ~key payload =
   | None -> ignore (Table.insert tbl ~home ~key payload)
 
 let recover t db =
-  let bytes = Bytes.of_string (Buffer.contents t.log) in
+  let bytes = Buffer.to_bytes t.log in
   (* At-rest bit rot lands between the last flush and the scan. *)
   (match t.disk.corrupt_off with
   | Some off when off >= 0 && off < Bytes.length bytes ->
       Bytes.set bytes off
         (Char.chr (Char.code (Bytes.get bytes off) lxor 0x10))
   | _ -> ());
-  Db.overwrite_from ~src:t.snapshot db;
+  Db.restore t.snapshot db;
   let len = Bytes.length bytes in
-  let s = Bytes.unsafe_to_string bytes in
   let pos = ref 0 in
   let cur_batch = ref min_int in
   let effects = ref [] in  (* current batch's effects, newest first *)
@@ -237,7 +261,7 @@ let recover t db =
           Int32.to_int (Bytes.get_int32_le bytes (p + 5 + plen))
           land 0xffff_ffff
         in
-        if crc s (p + 4) (1 + plen) <> stored then invalid := true
+        if crc bytes (p + 4) (1 + plen) <> stored then invalid := true
         else begin
           let i64 off = Int64.to_int (Bytes.get_int64_le bytes off) in
           let i32 off = Int32.to_int (Bytes.get_int32_le bytes off) in

@@ -17,9 +17,9 @@
     so a torn tail, a failed flush, or a flipped bit is {e detected} at
     recovery rather than silently loaded.
 
-    Periodic snapshots ([Db.clone] every [snapshot_every] durable
-    batches, plus one at creation) truncate the log behind the snapshot
-    barrier, bounding both replay time and log size.  {!recover}
+    Periodic snapshots ([Db.image] — one flat array of committed
+    payloads per table — every [snapshot_every] durable batches, plus
+    one at creation) truncate the log behind the snapshot barrier, bounding both replay time and log size.  {!recover}
     rebuilds a database from the newest snapshot plus a replay of every
     complete, checksum-valid commit group in the remaining log; the
     scan truncates at the first invalid record and degrades to the last
@@ -55,7 +55,7 @@ val create :
   snapshot_every:int ->
   Quill_storage.Db.t ->
   t
-(** A fresh log for one run.  Takes the initial snapshot ([Db.clone] of
+(** A fresh log for one run.  Takes the initial snapshot ([Db.image] of
     the database as given — the loaded, pre-run state) so recovery
     always has a base.  [snapshot_every] >= 1 is the snapshot period in
     durable batches. *)
@@ -65,8 +65,10 @@ val begin_batch : t -> batch_no:int -> unit
 
 val log_effect : t -> table:int -> home:int -> key:int -> int array -> unit
 (** Append one row effect (the row's post-batch committed payload) to
-    the group buffer.  Nothing reaches the modeled disk until
-    {!commit_batch} flushes. *)
+    the group buffer, framed in place: the record is written straight
+    into the reused group buffer and checksummed there.  Nothing reaches
+    the modeled disk until {!commit_batch} flushes, with one copy of
+    the whole group. *)
 
 val commit_batch : t -> batch_no:int -> txns:int -> bool
 (** Append the commit marker, then flush the whole group with one
@@ -86,7 +88,8 @@ val durable_txns : t -> int
     batches folded into snapshots). *)
 
 val recover : t -> Quill_storage.Db.t -> unit
-(** Crash recovery: overwrite [db] from the newest snapshot, then scan
+(** Crash recovery: restore [db] from the newest snapshot
+    ([Db.restore]), then scan
     the log and apply every complete, checksum-valid commit group.  The
     scan stops and truncates at the first invalid record (torn tail,
     bad crc, impossible length); effects of a batch with no valid

@@ -35,11 +35,11 @@ let mode_name = function
    full serialized feed retained; returns the hub (drained) and the
    workload for committed-state checks. *)
 let quecc_feed ?(seed = 42) ?(theta = 0.6) ?(batches = 4) ?(retain = 64)
-    ?(subscribe = fun _ -> ()) mode =
+    ?(record_feed = true) ?(subscribe = fun _ -> ()) mode =
   let wl = Ycsb.make (Tutil.small_ycsb ~table_size:2_000 ~seed ~theta ()) in
   let sim = Sim.create ~wake_cost:Costs.default.Costs.wakeup () in
   let cdc =
-    Cdc.create ~retain ~record_feed:true ~sim ~costs:Costs.default
+    Cdc.create ~retain ~record_feed ~sim ~costs:Costs.default
       wl.Workload.db
   in
   subscribe cdc;
@@ -367,6 +367,76 @@ let test_experiment_counters () =
         (m.Metrics.cdc_bytes > 0))
     [ E.Quecc (Qe.Speculative, Qe.Serializable); E.Serial ]
 
+(* Recording the feed only keeps a copy of the bytes: the digest and the
+   byte count are the same without it, and the digest is djb2 (masked
+   after every byte) over exactly the recorded bytes. *)
+let test_feed_independent_of_recording () =
+  let on, _ = quecc_feed Lockstep in
+  let off, _ = quecc_feed ~record_feed:false Lockstep in
+  Tutil.check_int "same digest" (Cdc.digest on) (Cdc.digest off);
+  Tutil.check_int "same feed bytes" (Cdc.feed_bytes on) (Cdc.feed_bytes off);
+  Alcotest.(check string) "nothing recorded when off" "" (Cdc.feed off);
+  Tutil.check_int "recorded bytes = feed bytes" (Cdc.feed_bytes on)
+    (String.length (Cdc.feed on));
+  let djb2 =
+    String.fold_left
+      (fun h c -> ((h lsl 5) + h + Char.code c) land 0xffff_ffff)
+      5381 (Cdc.feed on)
+  in
+  Tutil.check_int "digest = djb2 over the feed" djb2 (Cdc.digest on)
+
+(* Published events own their images: the engine writing the row again
+   after the commit point changes neither a delivered event, nor the
+   ring a late joiner replays, nor the replica's cached image. *)
+let test_published_events_are_private () =
+  let db = Db.create ~nparts:1 in
+  let tid = Db.add_table db ~name:"t" ~nfields:2 ~capacity:4 in
+  let row = Table.dense (Db.table db tid) 1 in
+  let sim = Sim.create () in
+  let hub = Cdc.create ~sim ~costs:Costs.default db in
+  let capture name ?join_at () =
+    let seen = ref [] in
+    ignore
+      (Cdc.subscribe hub ~name ?join_at
+         {
+           Cdc.on_batch = (fun b -> seen := b :: !seen);
+           on_snapshot = (fun _ ~batch_no:_ -> Alcotest.fail "no snapshot");
+           on_caught_up = (fun ~batch_no:_ -> ());
+         });
+    seen
+  in
+  let live = capture "live" () in
+  let replica = Replica.create db in
+  ignore (Cdc.subscribe hub ~name:"replica" (Replica.consumer replica));
+  let late = ref (ref []) in
+  Sim.spawn sim (fun () ->
+      row.Row.data.(0) <- 7;
+      row.Row.data.(1) <- 8;
+      Cdc.stage hub ~table:tid ~key:1 ~before:row.Row.committed
+        ~after:row.Row.data;
+      Row.publish row;
+      Cdc.publish hub ~batch_no:0 ~txns:1;
+      row.Row.data.(0) <- 100;
+      row.Row.data.(1) <- 200;
+      Row.publish row;
+      (* joins two batches on, so it catches up by replaying the ring *)
+      late := capture "late" ~join_at:2 ();
+      Cdc.publish hub ~batch_no:1 ~txns:0;
+      Cdc.publish hub ~batch_no:2 ~txns:0);
+  ignore (Sim.run sim);
+  Cdc.finish hub;
+  let first_after seen =
+    let b = List.find (fun b -> b.Cdc.batch_no = 0) !seen in
+    Array.to_list b.Cdc.events.(0).Cdc.after
+  in
+  Alcotest.(check (list int)) "delivered event unchanged" [ 7; 8 ]
+    (first_after live);
+  Alcotest.(check (list int)) "ring replay unchanged" [ 7; 8 ]
+    (first_after !late);
+  Alcotest.(check (option (list int))) "replica image unchanged"
+    (Some [ 7; 8 ])
+    (Option.map Array.to_list (Replica.read replica ~table:tid ~key:1))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "cdc"
@@ -379,6 +449,10 @@ let () =
             test_feed_replays_to_committed_state;
           Alcotest.test_case "serial group-commit feed" `Quick
             test_serial_feed_deterministic;
+          Alcotest.test_case "feed independent of recording" `Quick
+            test_feed_independent_of_recording;
+          Alcotest.test_case "published events are private" `Quick
+            test_published_events_are_private;
           qc qcheck_feed_identity;
         ] );
       ( "consumers",

@@ -148,6 +148,104 @@ let prop_checksum_field_sensitive =
       Row.publish row;
       Db.checksum db <> before)
 
+(* ------------------------- image vs clone ------------------------- *)
+
+(* The WAL snapshots with [Db.image]/[Db.restore]; replication keeps
+   [Db.clone]/[Db.overwrite_from].  Both must restore the same visible
+   state: payloads, dirty bits, dynamic rows and their homes, index
+   entries and FIFO heads. *)
+module Tpcc = Quill_workloads.Tpcc
+module Tpcc_load = Quill_workloads.Tpcc_load
+module Workload = Quill_txn.Workload
+module Engine = Quill_quecc.Engine
+
+let run_batches (wl : Workload.t) ~first_stream =
+  let new_stream i = wl.Workload.new_stream (first_stream + i) in
+  ignore
+    (Engine.run
+       { Engine.default_cfg with Engine.planners = 2; executors = 2; batch_size = 64 }
+       { wl with Workload.new_stream } ~batches:2)
+
+(* Everything a restore must bring back, dynamic payloads included (the
+   checksums cover only dense payloads and the inserted-row count). *)
+let visible db ix =
+  let rows (r : Row.t) acc =
+    (r.Row.key, Array.to_list r.Row.data, Array.to_list r.Row.committed,
+     r.Row.dirty) :: acc
+  in
+  let tables =
+    List.init (Db.ntables db) (fun tid ->
+        let t = Db.table db tid in
+        let dirty = ref [] and dyn = ref [] in
+        Table.iter_dense
+          (fun r -> if r.Row.dirty then dirty := r.Row.key :: !dirty)
+          t;
+        Table.iter_inserted
+          (fun r -> dyn := (Table.home_of_key t r.Row.key, rows r []) :: !dyn)
+          t;
+        (Table.inserted_count t, !dirty, !dyn))
+  in
+  (Db.checksum db, Db.live_checksum db, tables, Index.bindings ix)
+
+(* Pops every key's head: the FIFO cursors, observed destructively. *)
+let heads ix =
+  List.map (fun (sk, _) -> (sk, Index.pop_min ix sk, Index.pop_min ix sk))
+    (Index.bindings ix)
+
+let test_image_matches_clone () =
+  let wl = Tpcc.make (Tutil.small_tpcc ()) in
+  let db = wl.Workload.db and h = Tpcc.handles wl in
+  let ix = Db.index db h.Tpcc_load.ix_cust_by_name in
+  run_batches wl ~first_stream:0;
+  (* a dense and a dynamic row caught between write and publish *)
+  let dense = Table.dense (Db.table db h.Tpcc_load.t_customer) 3 in
+  dense.Row.data.(0) <- dense.Row.data.(0) + 17;
+  dense.Row.dirty <- true;
+  let orders = Db.table db h.Tpcc_load.t_orders in
+  let dyn = ref None in
+  Table.iter_inserted (fun r -> if !dyn = None then dyn := Some r) orders;
+  let dyn = Option.get !dyn in
+  dyn.Row.data.(0) <- dyn.Row.data.(0) + 5;
+  dyn.Row.dirty <- true;
+  (* a dynamic home that differs from the key-derived fallback *)
+  let hist = Db.table db h.Tpcc_load.t_history in
+  let hk = 1 lsl 40 in
+  ignore
+    (Table.insert hist ~home:((hk + 1) mod Db.nparts db) ~key:hk
+       (Array.make (Table.nfields hist) 4));
+  let first_sk = fst (List.hd (Index.bindings ix)) in
+  ignore (Index.pop_min ix first_sk);
+  Index.add ix 987_654 1;
+  Index.add ix 987_654 2;
+  Tutil.check_bool "orders has dynamic rows" true (Table.inserted_count orders > 0);
+  let img = Db.image db and cl = Db.clone db in
+  let expect = visible db ix in
+  let diverge ~first_stream =
+    run_batches wl ~first_stream;
+    ignore (Index.pop_min ix 987_654);
+    Index.add ix 123_456 9;
+    (Table.dense (Db.table db h.Tpcc_load.t_stock) 11).Row.dirty <- true
+  in
+  diverge ~first_stream:8;
+  Tutil.check_bool "state diverged" true (visible db ix <> expect);
+  Db.restore img db;
+  let via_image = visible db ix and heads_image = heads ix in
+  diverge ~first_stream:16;
+  Db.overwrite_from ~src:cl db;
+  let via_clone = visible db ix and heads_clone = heads ix in
+  Tutil.check_bool "image restores the imaged state" true (via_image = expect);
+  Tutil.check_bool "clone restores the same state" true (via_clone = expect);
+  Tutil.check_bool "same FIFO heads" true (heads_image = heads_clone);
+  (* an image is not consumed by a restore *)
+  Db.restore img db;
+  Tutil.check_bool "restore is repeatable" true (visible db ix = expect);
+  (* a new image may recycle the one it replaces *)
+  let img' = Db.image ~reuse:img db in
+  diverge ~first_stream:24;
+  Db.restore img' db;
+  Tutil.check_bool "recycled image restores its own state" true
+    (visible db ix = expect)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "storage"
@@ -172,5 +270,7 @@ let () =
           Alcotest.test_case "catalog" `Quick test_db_catalog;
           Alcotest.test_case "checksum" `Quick test_db_checksum;
           qc prop_checksum_field_sensitive;
+          Alcotest.test_case "image/restore = clone/overwrite_from" `Quick
+            test_image_matches_clone;
         ] );
     ]

@@ -222,6 +222,102 @@ let test_fsync_fail_degrades () =
   Tutil.check_bool "flushes failed" true (m.Metrics.wal_fsync_fails > 0);
   Tutil.check_int "nothing durable" 0 m.Metrics.durable_batches
 
+(* ------------------------- golden torn-record sweep ------------------------- *)
+
+(* One fixed lockstep run (3 batches of 8 four-op transactions, snapshot
+   every 2 batches) per disk fault, recovered after the run: a torn write
+   at every record of the first two batches, and failing fsyncs from two
+   points in time.  Each row is (log bytes before recovery, after it,
+   durable batch, durable txns, torn records, recovered checksum).  The
+   rows were produced by the string-framed log that preceded in-place
+   framing, so they pin the log bytes, the offsets a torn write cuts at
+   and the snapshot restore. *)
+let sweep_cfg =
+  {
+    (Tutil.small_ycsb ~table_size:256 ~nparts:2 ~seed:5 ()) with
+    Ycsb.ops_per_txn = 4;
+    fields = 4;
+  }
+
+let sweep_row disk =
+  let wl = Ycsb.make sweep_cfg in
+  let costs = Costs.default in
+  let sim = Sim.create ~wake_cost:costs.Costs.wakeup () in
+  let w = Wal.create ~disk ~sim ~costs ~snapshot_every:2 wl.Workload.db in
+  ignore
+    (Engine.run ~sim ~wal:w
+       (quecc_cfg ~planners:2 ~executors:2 ~batch_size:8 ())
+       wl ~batches:3);
+  let before = Wal.log_size w in
+  Sim.spawn sim (fun () -> Wal.recover w wl.Workload.db);
+  ignore (Sim.run sim);
+  let m = Metrics.create () in
+  Wal.record w m;
+  ( before,
+    Wal.log_size w,
+    Wal.durable_batch w,
+    Wal.durable_txns w,
+    m.Metrics.torn_records,
+    Db.checksum wl.Workload.db )
+
+let golden_sweep =
+  let b0 = 1423127351180350344
+  and b1 = 2203391082989201540
+  and b2 = 422244652124797897
+  and b3 = 3672815684502792874 in
+  let torn k = { Wal.no_disk_faults with Wal.torn_rec = Some k } in
+  let fail at = { Wal.no_disk_faults with Wal.fsync_fail_at = Some at } in
+  [
+    ("clean", Wal.no_disk_faults, (1140, 1140, 2, 24, 0, b3));
+    ("torn 0", torn 0, (8, 0, -1, 0, 1, b0));
+    ("torn 1", torn 1, (47, 17, -1, 0, 1, b0));
+    ("torn 2", torn 2, (108, 78, -1, 0, 1, b0));
+    ("torn 3", torn 3, (169, 139, -1, 0, 1, b0));
+    ("torn 4", torn 4, (230, 200, -1, 0, 1, b0));
+    ("torn 5", torn 5, (291, 261, -1, 0, 1, b0));
+    ("torn 6", torn 6, (352, 322, -1, 0, 1, b0));
+    ("torn 7", torn 7, (413, 383, -1, 0, 1, b0));
+    ("torn 8", torn 8, (474, 444, -1, 0, 1, b0));
+    ("torn 9", torn 9, (535, 505, -1, 0, 1, b0));
+    ("torn 10", torn 10, (596, 566, -1, 0, 1, b0));
+    ("torn 11", torn 11, (657, 627, -1, 0, 1, b0));
+    ("torn 12", torn 12, (718, 688, -1, 0, 1, b0));
+    ("torn 13", torn 13, (779, 749, -1, 0, 1, b0));
+    ("torn 14", torn 14, (840, 810, -1, 0, 1, b0));
+    ("torn 15", torn 15, (883, 871, -1, 0, 1, b0));
+    ("torn 16", torn 16, (904, 896, 0, 8, 1, b1));
+    ("torn 17", torn 17, (943, 913, 0, 8, 1, b1));
+    ("torn 18", torn 18, (1004, 974, 0, 8, 1, b1));
+    ("torn 19", torn 19, (1065, 1035, 0, 8, 1, b1));
+    ("torn 20", torn 20, (1126, 1096, 0, 8, 1, b1));
+    ("torn 21", torn 21, (1187, 1157, 0, 8, 1, b1));
+    ("torn 22", torn 22, (1248, 1218, 0, 8, 1, b1));
+    ("torn 23", torn 23, (1309, 1279, 0, 8, 1, b1));
+    ("torn 24", torn 24, (1370, 1340, 0, 8, 1, b1));
+    ("torn 25", torn 25, (1431, 1401, 0, 8, 1, b1));
+    ("torn 26", torn 26, (1492, 1462, 0, 8, 1, b1));
+    ("torn 27", torn 27, (1553, 1523, 0, 8, 1, b1));
+    ("torn 28", torn 28, (1614, 1584, 0, 8, 1, b1));
+    ("torn 29", torn 29, (1675, 1645, 0, 8, 1, b1));
+    ("torn 30", torn 30, (1736, 1706, 0, 8, 1, b1));
+    ("torn 31", torn 31, (1797, 1767, 0, 8, 1, b1));
+    ("torn 32", torn 32, (1840, 1828, 0, 8, 1, b1));
+    ("fsync-fail 40us", fail 40_000, (896, 896, 0, 8, 0, b1));
+    ("fsync-fail 80us", fail 80_000, (0, 0, 1, 16, 0, b2));
+  ]
+
+let test_golden_torn_sweep () =
+  List.iter
+    (fun (name, disk, (lb, la, db, dt, torn, ck)) ->
+      let lb', la', db', dt', torn', ck' = sweep_row disk in
+      Tutil.check_int (name ^ ": log bytes before recovery") lb lb';
+      Tutil.check_int (name ^ ": log bytes after recovery") la la';
+      Tutil.check_int (name ^ ": durable batch") db db';
+      Tutil.check_int (name ^ ": durable txns") dt dt';
+      Tutil.check_int (name ^ ": torn records") torn torn';
+      Tutil.check_int (name ^ ": recovered checksum") ck ck')
+    golden_sweep
+
 (* ------------------------- serial engine ------------------------- *)
 
 let test_serial_crash_recovers () =
@@ -281,6 +377,16 @@ let test_experiment_validation () =
         (E.run
            (E.make ~threads:2 ~txns:256 ~batch_size:128 ~wal:true
               ~snapshot_every:0
+              (E.Quecc (Engine.Speculative, Engine.Serializable))
+              spec)));
+  Alcotest.check_raises "snapshot period without --wal rejected"
+    (Invalid_argument
+       "Experiment.run: --snapshot-every needs --wal (there is no log to \
+        snapshot)")
+    (fun () ->
+      ignore
+        (E.run
+           (E.make ~threads:2 ~txns:256 ~batch_size:128 ~snapshot_every:4
               (E.Quecc (Engine.Speculative, Engine.Serializable))
               spec)));
   Alcotest.check_raises "net faults stay distributed-only"
@@ -366,6 +472,8 @@ let () =
             test_corrupt_byte_truncates;
           Alcotest.test_case "fsync failure degrades" `Quick
             test_fsync_fail_degrades;
+          Alcotest.test_case "golden torn-record sweep" `Quick
+            test_golden_torn_sweep;
         ] );
       ( "harness",
         [
