@@ -1,8 +1,10 @@
 (** Binary min-heap, the event queue of the simulator.  Each element is
-    keyed by two ints [(at, ord)], compared lexicographically; the keys
-    live in unboxed [int array]s beside a parallel payload array, so
-    reading the minimum key and popping allocate nothing.  Callers that
-    need a total order (the simulator does) keep [ord] unique. *)
+    keyed by two ints [(at, ord)], compared lexicographically.  The sifts
+    move only ints — the keys and a handle to the payload's slot — and
+    each payload is stored once, in a slot recycled after its pop, so
+    pushing and popping allocate nothing and write one payload pointer
+    each.  Callers that need a total order (the simulator does) keep
+    [ord] unique. *)
 
 type 'a t
 

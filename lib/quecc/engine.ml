@@ -73,8 +73,9 @@ type rt = {
                                         when the txn has no data deps *)
   resolved : unit Sim.Ivar.iv;       (* commit-dependency gate *)
   mutable pending_aborters : int;
-  deps_on : int Vec.t;               (* speculation/WAW edges: bidxs read
-                                        or overwritten (speculative mode) *)
+  mutable deps : int;                (* speculation/WAW edges: chain of the
+                                        bidxs read or overwritten, in the
+                                        db's Spec arena (speculative mode) *)
   mutable inserts : (int * int) list; (* (table, key) for undo *)
   mutable logic_abort : bool;
   entry : Clients.entry option;      (* admission-queue provenance, for
@@ -134,9 +135,12 @@ type shared = {
   queues : qentry Vec.t array array array;
       (* [parity].[planner].[executor] *)
   rts : rt option array array;         (* [parity].[slot] -> runtime *)
-  touched : (int * Row.t) Vec.t array;
-      (* (table, row) per executor + one recovery slot; the rows dirtied
-         by the in-flight batch — publish set and WAL write set *)
+  touched : Row.t Vec.t array;
+      (* per executor + one recovery slot: the rows dirtied by the
+         in-flight batch — publish set and WAL write set *)
+  touched_tables : int Vec.t array;
+      (* the table id of each row of [touched], at the same position *)
+  spec : Spec.t;  (* the db's speculation arenas *)
   qstate : int array array array;      (* [parity].[planner].[executor] *)
   qsig : (int, unit) Hashtbl.t array array array;
       (* [parity].[planner].[executor] *)
@@ -208,7 +212,7 @@ let make_rt ?entry txn bidx =
     slots;
     resolved = Sim.Ivar.create ();
     pending_aborters = txn.Txn.n_abortable;
-    deps_on = Vec.create ();
+    deps = Spec.nil;
     inserts = [];
     logic_abort = false;
     entry;
@@ -257,7 +261,7 @@ let dummy_rt =
     slots = [||];
     resolved = Sim.Ivar.create ();
     pending_aborters = 0;
-    deps_on = Vec.create ();
+    deps = Spec.nil;
     inserts = [];
     logic_abort = false;
     entry = None;
@@ -266,52 +270,13 @@ let dummy_rt =
 let mark_touched sh slot table row =
   if not row.Row.dirty then begin
     row.Row.dirty <- true;
-    Vec.push sh.touched.(slot) (table, row)
+    Vec.push sh.touched.(slot) row;
+    Vec.push sh.touched_tables.(slot) table
   end
 
-(* Field-level speculation state: edges are recorded per (row, field) so
-   that transactions touching disjoint fields of a hot row (Payment's
-   d_ytd vs NewOrder's d_next_o_id) never cascade into each other. *)
-let fstate row =
-  if Array.length row.Row.fstate = 0 then
-    row.Row.fstate <- Array.make (Array.length row.Row.data) (-1, [], []);
-  row.Row.fstate
-
-let add_edge rt b = if b >= 0 && b <> rt.bidx then Vec.push rt.deps_on b
-
-(* Reading field [f]: depend on its last in-batch writer and on every
-   pending commutative adder (their deltas are visible in the value), and
-   register as a reader (future anti-dependency). *)
-let record_read rt row f =
-  if row.Row.inserter >= 0 then add_edge rt row.Row.inserter;
-  let st = fstate row in
-  let w, rs, ads = st.(f) in
-  add_edge rt w;
-  List.iter (add_edge rt) ads;
-  st.(f) <- (w, rt.bidx :: rs, ads)
-
-(* Writing field [f]: depend on the previous writer and adders (so undo
-   chains revert in order) and on every reader since (anti-dep). *)
-let record_write rt row f =
-  if row.Row.inserter >= 0 then add_edge rt row.Row.inserter;
-  let st = fstate row in
-  let w, rs, ads = st.(f) in
-  add_edge rt w;
-  List.iter (add_edge rt) rs;
-  List.iter (add_edge rt) ads;
-  st.(f) <- (rt.bidx, [], [])
-
-(* Commutative add on field [f]: other adds commute (no edges between
-   them), but the previous set-writer's undo would clobber us, and prior
-   readers must drag us along if they re-execute. *)
-let record_add rt row f =
-  if row.Row.inserter >= 0 then add_edge rt row.Row.inserter;
-  let st = fstate row in
-  let w, rs, ads = st.(f) in
-  add_edge rt w;
-  List.iter (add_edge rt) rs;
-  st.(f) <- (w, rs, rt.bidx :: ads)
-
+(* Speculation edges are tracked per (row, field) (see {!Spec}) so that
+   transactions touching disjoint fields of a hot row (Payment's d_ytd
+   vs NewOrder's d_next_o_id) never cascade into each other. *)
 let make_exec_ctx sh st =
   let costs = sh.cfg.costs in
   let speculative = sh.cfg.mode = Speculative in
@@ -323,7 +288,11 @@ let make_exec_ctx sh st =
       match (sh.cfg.isolation, frag.Fragment.mode) with
       | Read_committed, Fragment.Read -> row.Row.committed.(field)
       | _ ->
-          if speculative then record_read st.cur_rt row field;
+          if speculative then begin
+            let rt = st.cur_rt in
+            rt.deps <-
+              Spec.read sh.spec row ~field ~bidx:rt.bidx ~deps:rt.deps
+          end;
           row.Row.data.(field)
     end
   in
@@ -332,11 +301,8 @@ let make_exec_ctx sh st =
     if st.cur_found then begin
       let row = st.cur_row in
       let rt = st.cur_rt in
-      if speculative then begin
-        record_write rt row field;
-        row.Row.undo <-
-          (rt.bidx, field, Row.Uset row.Row.data.(field)) :: row.Row.undo
-      end;
+      if speculative then
+        rt.deps <- Spec.write sh.spec row ~field ~bidx:rt.bidx ~deps:rt.deps;
       mark_touched sh st.eid frag.Fragment.table row;
       row.Row.data.(field) <- v
     end
@@ -346,10 +312,9 @@ let make_exec_ctx sh st =
     if st.cur_found then begin
       let row = st.cur_row in
       let rt = st.cur_rt in
-      if speculative then begin
-        record_add rt row field;
-        row.Row.undo <- (rt.bidx, field, Row.Uadd d) :: row.Row.undo
-      end;
+      if speculative then
+        rt.deps <-
+          Spec.add sh.spec row ~field ~delta:d ~bidx:rt.bidx ~deps:rt.deps;
       mark_touched sh st.eid frag.Fragment.table row;
       row.Row.data.(field) <- row.Row.data.(field) + d
     end
@@ -361,14 +326,10 @@ let make_exec_ctx sh st =
     let home = Db.home sh.db frag.Fragment.table frag.Fragment.key in
     let row = Table.insert tbl ~home ~key payload in
     if speculative then begin
-      row.Row.batch_tag <- sh.batch_no;
-      row.Row.inserter <- rt.bidx;
+      Spec.inserted sh.spec row ~bidx:rt.bidx;
       rt.inserts <- (frag.Fragment.table, key) :: rt.inserts
     end;
-    if not row.Row.dirty then begin
-      row.Row.dirty <- true;
-      Vec.push sh.touched.(st.eid) (frag.Fragment.table, row)
-    end
+    mark_touched sh st.eid frag.Fragment.table row
   in
   let input fid =
     Sim.tick sh.sim costs.Costs.cas;
@@ -398,14 +359,13 @@ let make_ctx sh st =
           && f.Fragment.mode = Fragment.Read)
         ctx
 
-(* Lazily reset per-batch row state the first time a row is seen.  Rows
-   touched in the previous batch were reset at publish time, so this only
-   matters for correctness of [last_writer] tags across batches. *)
+(* Lazily reset per-batch row state the first time a row is seen this
+   batch: state tagged with an earlier epoch is discarded. *)
 let locate sh (frag : Fragment.t) =
   let tbl = Db.table sh.db frag.Fragment.table in
   match Table.find tbl frag.Fragment.key with
   | Some row ->
-      Row.reset_batch_state row sh.batch_no;
+      Spec.touch sh.spec row;
       Some row
   | None -> None
 
@@ -1075,7 +1035,7 @@ let recover sh ~parity =
           in_a.(b) <- true;
           any := true
         end
-        else if Vec.exists (fun d -> in_a.(d)) rt.deps_on then begin
+        else if Spec.depends_on sh.spec rt.deps in_a then begin
           in_a.(b) <- true;
           any := true
         end
@@ -1086,28 +1046,9 @@ let recover sh ~parity =
        field writes of cascaded transactions.  Per-field WAW edges
        guarantee that any later writer of the same field is cascaded
        too, so reverting in reverse chronological order is exact. *)
+    let on_revert () = Sim.tick sh.sim costs.Costs.abort_cleanup in
     Array.iter
-      (fun touched ->
-        Vec.iter
-          (fun (_, row) ->
-            if row.Row.undo <> [] then begin
-              let kept =
-                List.filter
-                  (fun (b, field, uop) ->
-                    if in_a.(b) then begin
-                      Sim.tick sh.sim costs.Costs.abort_cleanup;
-                      (match uop with
-                      | Row.Uset old -> row.Row.data.(field) <- old
-                      | Row.Uadd d ->
-                          row.Row.data.(field) <- row.Row.data.(field) - d);
-                      false
-                    end
-                    else true)
-                  row.Row.undo
-              in
-              row.Row.undo <- kept
-            end)
-          touched)
+      (Vec.iter (fun row -> Spec.rollback sh.spec row in_a ~on_revert))
       sh.touched;
     (* Remove inserts made by cascaded transactions. *)
     for b = 0 to n - 1 do
@@ -1225,15 +1166,12 @@ let next_batch_size sh abs =
 (* Top level                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The rows' speculation fields need no reset here: the next batch's
+   epoch makes them stale. *)
 let publish_slot sh slot =
-  Vec.iter
-    (fun (_, row) ->
-      Row.publish row;
-      row.Row.undo <- [];
-      row.Row.fstate <- [||];
-      row.Row.inserter <- -1)
-    sh.touched.(slot);
-  Vec.clear sh.touched.(slot)
+  Vec.iter Row.publish sh.touched.(slot);
+  Vec.clear sh.touched.(slot);
+  Vec.clear sh.touched_tables.(slot)
 
 let account ?clients sh ~parity =
   let now = Sim.now sh.sim in
@@ -1268,12 +1206,12 @@ let account ?clients sh ~parity =
    [data] at this point is exactly the image publish will install, so
    logging [data] now equals logging [committed] later, and each row
    yields exactly (pre-batch committed, post-batch data) for the feed.
-   A row whose [inserter] is still set was inserted by this batch
-   (publish resets the mark); one whose key no longer resolves was a
-   rolled-back insert — skipped.  The hub dedupes rows touched from
-   several executor slots.  The flush ([wal_flush]) and the feed seal
-   ([cdc_seal]) happen after the publish barrier, so a snapshot roll
-   images the fully published database. *)
+   A row whose [inserter] is set was inserted by this batch (a later
+   batch's first touch resets the mark); one whose key no longer
+   resolves was a rolled-back insert — skipped.  The hub dedupes rows
+   touched from several executor slots.  The flush ([wal_flush]) and the
+   feed seal ([cdc_seal]) happen after the publish barrier, so a
+   snapshot roll images the fully published database. *)
 let commit_emit sh ~bno =
   if sh.wal <> None || sh.cdc <> None then begin
     let emit tid tbl (r : Row.t) =
@@ -1293,10 +1231,12 @@ let commit_emit sh ~bno =
       | None -> ()
     in
     Option.iter (fun w -> Wal.begin_batch w ~batch_no:bno) sh.wal;
-    Array.iter
-      (fun touched ->
-        Vec.iter
-          (fun (tid, (row : Row.t)) ->
+    Array.iteri
+      (fun slot tables ->
+        let rows = sh.touched.(slot) in
+        Vec.iteri
+          (fun i tid ->
+            let row = Vec.get rows i in
             let tbl = Db.table sh.db tid in
             let key = row.Row.key in
             (* a dense row always resolves to itself *)
@@ -1305,8 +1245,8 @@ let commit_emit sh ~bno =
               match Table.find tbl key with
               | Some r -> emit tid tbl r
               | None -> ())
-          touched)
-      sh.touched
+          tables)
+      sh.touched_tables
   end
 
 (* Group commit: append the commit marker and flush the whole batch with
@@ -1471,7 +1411,10 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
         | None ->
             for b = 0 to batches - 1 do
               if not sh.crashed then begin
-                if t = 0 then sh.batch_no <- b;
+                if t = 0 then begin
+                  sh.batch_no <- b;
+                  Spec.begin_batch sh.spec
+                end;
                 run_batch
                   (fun () -> plan_slice sh ~parity:0 ~bno:b t streams.(t) rr)
                   (fun () -> account sh ~parity:0)
@@ -1488,7 +1431,10 @@ let spawn_lockstep sim sh ?clients ~batches ~streams () =
               if t = 0 then begin
                 pending := Clients.drain c ~node:0 ~max:cfg.batch_size;
                 continue_ := Array.length !pending > 0;
-                if !continue_ then sh.batch_no <- sh.batch_no + 1
+                if !continue_ then begin
+                  sh.batch_no <- sh.batch_no + 1;
+                  Spec.begin_batch sh.spec
+                end
               end;
               Sim.Barrier.await sim barrier;
               if !continue_ then begin
@@ -1680,7 +1626,10 @@ let spawn_pipelined sim sh ?clients ~batches ~streams () =
               (* batch_no is only read between start(b) and the end of
                  publish(b), so advancing it here cannot race the
                  planners: they never touch rows. *)
-              if go then sh.batch_no <- b;
+              if go then begin
+                sh.batch_no <- b;
+                Spec.begin_batch sh.spec
+              end;
               Sim.Ivar.fill sim (ivar start_iv b) go;
               go
             end
@@ -1830,6 +1779,9 @@ let run ?sim ?clients ?recorder ?wal ?cdc ?crash_at cfg wl ~batches =
                 Array.init cfg.executors (fun _ -> Vec.create ())));
       rts = Array.init nbuf (fun _ -> Array.make cfg.batch_size None);
       touched = Array.init (cfg.executors + 1) (fun _ -> Vec.create ());
+      touched_tables =
+        Array.init (cfg.executors + 1) (fun _ -> Vec.create ());
+      spec = Db.spec wl.Workload.db;
       qstate =
         (if cfg.steal then
            Array.init nbuf (fun _ ->

@@ -57,17 +57,26 @@ type t = {
   tracer : Trace.t;
 }
 
-and thread = { tid : int; mutable clock : time; mutable phase : int }
+(* [k] and [resume] serve yields, the hot path of every contended
+   [tick]: a yielding thread parks its continuation in [k] and queues
+   [resume], its own preallocated [Resume] entry, so a switch allocates
+   nothing but the continuation.  A thread yields only while running, so
+   its [resume] entry is queued at most once at a time. *)
+and thread = {
+  tid : int;
+  mutable clock : time;
+  mutable phase : int;
+  mutable k : (unit, unit) Effect.Deep.continuation;
+  resume : event;
+}
 
-(* A run-queue entry.  [Resume] re-enters a thread that yielded: the hot
-   path of every contended [tick], so it carries the continuation itself
-   rather than a closure.  [Call] runs a closure (thread start, wake-up
-   from a blocking primitive).  [Phantom] is a [Call] that is scheduler
-   bookkeeping (e.g. a receive timeout) and may never fire: it must not
-   drag the horizon forward, or an unused timeout would inflate the
-   run's elapsed time. *)
+(* A run-queue entry.  [Resume th] re-enters [th] at [th.k].  [Call] runs
+   a closure (thread start, wake-up from a blocking primitive).
+   [Phantom] is a [Call] that is scheduler bookkeeping (e.g. a receive
+   timeout) and may never fire: it must not drag the horizon forward, or
+   an unused timeout would inflate the run's elapsed time. *)
 and event =
-  | Resume of thread * (unit, unit) Effect.Deep.continuation
+  | Resume of thread
   | Call of (unit -> unit)
   | Phantom of (unit -> unit)
 
@@ -75,9 +84,36 @@ type _ Effect.t +=
   | Yield : unit Effect.t
   | Suspend : (thread -> (unit, unit) Effect.Deep.continuation -> unit)
       -> unit Effect.t
+  | Never_resumed : unit Effect.t
+
+(* The [k] of a thread that has not yielded yet: a continuation captured
+   once at start-up and never resumed. *)
+let null_k : (unit, unit) Effect.Deep.continuation =
+  let k = ref None in
+  Effect.Deep.match_with
+    (fun () -> Effect.perform Never_resumed)
+    ()
+    {
+      Effect.Deep.retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) Effect.Deep.continuation -> unit) option ->
+          match eff with
+          | Never_resumed ->
+              Some
+                (fun (c : (unit, unit) Effect.Deep.continuation) ->
+                  k := Some c)
+          | _ -> None);
+    };
+  Option.get !k
+
+let make_thread tid clock =
+  let rec th = { tid; clock; phase = 0; k = null_k; resume = Resume th } in
+  th
 
 (* Stands in for [current] outside a thread; the only negative [tid]. *)
-let no_thread = { tid = -1; clock = 0; phase = 0 }
+let no_thread = make_thread (-1) 0
 
 let create ?(wake_cost = 0) ?(tracer = Trace.null) () =
   {
@@ -120,11 +156,15 @@ let suspend t f =
   Effect.perform (Suspend f)
 
 let spawn ?(at = 0) t body =
-  let th = { tid = t.spawned; clock = at; phase = 0 } in
+  let th = make_thread t.spawned at in
   t.spawned <- t.spawned + 1;
-  (* Built once per thread, so a yield allocates no handler closure: only
-     the continuation and its [Resume] entry. *)
-  let on_yield = Some (fun k -> schedule t ~at:th.clock (Resume (th, k))) in
+  (* Built once per thread, so a yield allocates no handler closure. *)
+  let on_yield =
+    Some
+      (fun k ->
+        th.k <- k;
+        schedule t ~at:th.clock th.resume)
+  in
   let handler =
     {
       Effect.Deep.retc = (fun () -> t.completed <- t.completed + 1);
@@ -149,7 +189,7 @@ let run t =
   let q = t.runq in
   while not (Heap.is_empty q) do
     match Heap.pop q with
-    | Resume (th, k) -> resume t th k
+    | Resume th -> resume t th th.k
     | Call f | Phantom f -> f ()
   done;
   t.current <- no_thread;

@@ -63,7 +63,8 @@ val tick : t -> int -> unit
 (** Charge [n] ns of CPU work to the calling thread, yielding to any
     thread whose wake-up time has been reached (one due at or before the
     new clock).  With no such thread the tick does not switch; a switch
-    allocates only the continuation and its run-queue entry. *)
+    allocates only the continuation: each thread owns a preallocated
+    run-queue entry, and the queue's sifts move only ints. *)
 
 val sleep : t -> int -> unit
 (** Advance the clock by [n] ns of idle (not busy) time. *)

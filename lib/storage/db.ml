@@ -6,6 +6,7 @@ type t = {
   indexes : Index.t Vec.t;
   table_ids : (string, int) Hashtbl.t;
   index_ids : (string, int) Hashtbl.t;
+  spec : Spec.t;
 }
 
 let create ~nparts =
@@ -16,9 +17,11 @@ let create ~nparts =
     indexes = Vec.create ();
     table_ids = Hashtbl.create 16;
     index_ids = Hashtbl.create 16;
+    spec = Spec.create ();
   }
 
 let nparts t = t.nparts
+let spec t = t.spec
 
 let add_table ?home_fn t ~name ~nfields ~capacity =
   if Hashtbl.mem t.table_ids name then

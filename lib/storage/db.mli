@@ -6,6 +6,12 @@ type t
 val create : nparts:int -> t
 val nparts : t -> int
 
+val spec : t -> Spec.t
+(** The arenas holding QueCC's speculation state for this database's
+    rows.  They outlive engine runs, so repeated runs over one database
+    reuse their capacity, and their epoch keeps advancing across runs.
+    A {!clone} gets fresh arenas. *)
+
 val add_table :
   ?home_fn:(int -> int) ->
   t -> name:string -> nfields:int -> capacity:int -> int

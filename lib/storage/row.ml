@@ -1,5 +1,3 @@
-type uop = Uset of int | Uadd of int
-
 type t = {
   key : int;
   data : int array;
@@ -12,8 +10,8 @@ type t = {
   mutable versions : version list;
   mutable batch_tag : int;
   mutable inserter : int;
-  mutable fstate : (int * int list * int list) array;
-  mutable undo : (int * int * uop) list;
+  mutable fstate : int;
+  mutable undo : int;
   mutable dirty : bool;
 }
 
@@ -36,8 +34,8 @@ let make ~key ~nfields =
     versions = [];
     batch_tag = -1;
     inserter = -1;
-    fstate = [||];
-    undo = [];
+    fstate = -1;
+    undo = -1;
     dirty = false;
   }
 
@@ -59,10 +57,10 @@ let revert t =
   Array.blit t.committed 0 t.data 0 (Array.length t.data);
   t.dirty <- false
 
-let reset_batch_state t batch =
-  if t.batch_tag <> batch then begin
-    t.batch_tag <- batch;
+let reset_batch_state t epoch =
+  if t.batch_tag <> epoch then begin
+    t.batch_tag <- epoch;
     t.inserter <- -1;
-    t.fstate <- [||];
-    t.undo <- []
+    t.fstate <- -1;
+    t.undo <- -1
   end

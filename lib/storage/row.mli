@@ -11,10 +11,6 @@
     race-free; virtual-time ordering of accesses is provided by
     {!Quill_sim.Sim}. *)
 
-(** Undo-log entry payload: revert a [Uset] by restoring the old value,
-    a [Uadd] by subtracting the delta (commutative updates). *)
-type uop = Uset of int | Uadd of int
-
 type t = {
   key : int;
   data : int array;                 (** live / latest version *)
@@ -30,15 +26,18 @@ type t = {
   (* --- MVTO --- *)
   mutable versions : version list;  (** newest first *)
   (* --- QueCC per-batch state (touched only by the home executor) --- *)
-  mutable batch_tag : int;          (** batch id for lazy reset *)
+  mutable batch_tag : int;
+      (** the {!Spec} epoch the fields below belong to; lazily reset
+          when it is not the current one *)
   mutable inserter : int;           (** batch txn index that inserted the row
                                         this batch, -1 otherwise *)
-  mutable fstate : (int * int list * int list) array;
-      (** per-field speculation state: (last in-batch writer or -1,
-          readers since that write, commutative adders since that
-          write); [[||]] when untracked this batch *)
-  mutable undo : (int * int * uop) list;
-      (** (txn idx, field, revert info), newest first *)
+  mutable fstate : int;
+      (** head of the row's list of per-field speculation states (last
+          writer, reader and adder chains of each field accessed this
+          batch) in the database's {!Spec} arena; -1 when none *)
+  mutable undo : int;
+      (** newest entry of the row's undo log in the {!Spec} arena; -1
+          when empty *)
   mutable dirty : bool;             (** live differs from committed *)
 }
 
@@ -66,5 +65,6 @@ val revert : t -> unit
     rows back to the last published batch boundary with this. *)
 
 val reset_batch_state : t -> int -> unit
-(** [reset_batch_state row batch] lazily (re)initializes the QueCC
-    per-batch fields when the row is first touched in [batch]. *)
+(** [reset_batch_state row epoch] lazily (re)initializes the QueCC
+    per-batch fields when the row is first touched in the batch tagged
+    [epoch]. *)

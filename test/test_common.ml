@@ -228,6 +228,42 @@ let test_heap_order () =
   Alcotest.check_raises "min_at empty" (Invalid_argument "Heap.min_at: empty")
     (fun () -> ignore (Heap.min_at h))
 
+(* Pushes and pops interleaved, checked pop by pop against a sorted-list
+   model.  Runs of pushes outgrow the initial capacity several times
+   over while pops keep recycling payload slots, so a slot handed back
+   before its payload was read would return the wrong element. *)
+let prop_heap_interleaved =
+  let op =
+    QCheck.Gen.(
+      frequency [ (2, map Option.some (int_bound 20)); (1, return None) ])
+  in
+  let show = function None -> "pop" | Some at -> string_of_int at in
+  QCheck.Test.make ~name:"heap interleaved push/pop = sorted model"
+    ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list show)
+       QCheck.Gen.(list_size (int_range 1 400) op))
+    (fun ops ->
+      let h = Heap.create ~dummy:(-1, -1) in
+      let ok = ref true and model = ref [] in
+      List.iteri
+        (fun ord op ->
+          match op with
+          | Some at ->
+              Heap.push h ~at ~ord (at, ord);
+              model := List.merge compare [ (at, ord) ] !model
+          | None -> (
+              match !model with
+              | [] -> ok := !ok && Heap.is_empty h
+              | (at, _) :: rest as m ->
+                  ok := !ok && Heap.min_at h = at;
+                  ok := !ok && Heap.pop h = List.hd m;
+                  model := rest))
+        ops;
+      !ok
+      && Heap.length h = List.length !model
+      && List.for_all (fun x -> Heap.pop h = x) !model)
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pop order = sorted" ~count:200
     QCheck.(list (int_bound 20))
@@ -416,8 +452,11 @@ let () =
           qc prop_vec_model;
         ] );
       ( "heap",
-        [ Alcotest.test_case "order" `Quick test_heap_order; qc prop_heap_sorts ]
-      );
+        [
+          Alcotest.test_case "order" `Quick test_heap_order;
+          qc prop_heap_sorts;
+          qc prop_heap_interleaved;
+        ] );
       ( "bitset",
         [
           Alcotest.test_case "basic" `Quick test_bitset_basic;

@@ -537,6 +537,112 @@ let prop_oracle_random_configs =
       let _ = Quill_protocols.Serial.run_txns wl_oracle txns in
       Db.checksum wl.Workload.db = Db.checksum wl_oracle.Workload.db)
 
+(* ------------------------- speculation state ------------------------- *)
+
+(* The per-row speculation state (field edges, undo, inserter) is keyed
+   by a batch tag that must never repeat on one database: a second run
+   over the same database must behave exactly as the same run over a
+   fresh copy of it.  A row that a batch only reads keeps its state, so a
+   tag that restarts at batch 0 with every run would let the second run
+   reuse stale reader and writer edges and cascade more. *)
+let test_rerun_same_db_equals_clone () =
+  let ecfg = { Engine.default_cfg with Engine.batch_size = 128 } in
+  (* Run 2 reads generator streams 4.., disjoint from run 1's. *)
+  let second (wl : Workload.t) =
+    let wl =
+      { wl with
+        Workload.new_stream = (fun i -> wl.Workload.new_stream (i + 4)) }
+    in
+    let m = Engine.run ecfg wl ~batches:3 in
+    ( m.Metrics.cascades,
+      m.Metrics.committed,
+      m.Metrics.logic_aborted,
+      m.Metrics.elapsed,
+      Db.checksum wl.Workload.db )
+  in
+  for seed = 1 to 20 do
+    let wl =
+      Ycsb.make
+        (Tutil.small_ycsb ~table_size:500 ~theta:0.9 ~mp_ratio:0.0
+           ~abort_ratio:0.2 ~seed ())
+    in
+    ignore (Engine.run ecfg wl ~batches:3 : Metrics.t);
+    let c1, k1, a1, e1, s1 =
+      second { wl with Workload.db = Db.clone wl.Workload.db }
+    in
+    let c2, k2, a2, e2, s2 = second wl in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Tutil.check_bool (name "the run cascades") true (c1 > 0);
+    Tutil.check_int (name "cascades") c1 c2;
+    Tutil.check_int (name "committed") k1 k2;
+    Tutil.check_int (name "logic-aborted") a1 a2;
+    Tutil.check_int (name "elapsed") e1 e2;
+    Tutil.check_int (name "checksum") s1 s2
+  done
+
+(* Golden speculation results: cascades, committed, logic-aborted,
+   virtual elapsed time and final checksum of fixed speculative runs,
+   each on a fresh database.  The runs exercise read, write and add
+   edges and the undo walk: TPC-C NewOrder/Payment (1% of NewOrders
+   abort), YCSB with logic aborts and data-dependency chains, and a
+   hot-key YCSB whose rare aborts leave keys clean enough to split; each
+   in lockstep, pipelined and with hot-key splitting on.  Any change to
+   how speculation state is stored must reproduce these exactly. *)
+let golden_runs =
+  let tpcc () = Tpcc.make (Tutil.small_tpcc ~payment_only:true ()) in
+  let ycsb ~abort_ratio ~chain_deps () =
+    Ycsb.make
+      (Tutil.small_ycsb ~table_size:2_000 ~theta:0.9 ~abort_ratio ~chain_deps
+         ~global_zipf:true ())
+  in
+  let modes =
+    [
+      ("lockstep", Engine.default_cfg);
+      ("pipelined", { Engine.default_cfg with Engine.pipeline = true });
+      ("split", { Engine.default_cfg with Engine.split = tiny_split });
+    ]
+  in
+  List.concat_map
+    (fun (wname, mk) ->
+      List.map (fun (mname, cfg) -> (wname ^ " " ^ mname, mk, cfg)) modes)
+    [
+      ("tpcc", tpcc);
+      ("ycsb-deps", ycsb ~abort_ratio:0.2 ~chain_deps:true);
+      ("ycsb-hot", ycsb ~abort_ratio:0.05 ~chain_deps:false);
+    ]
+
+(* name -> (cascades, committed, logic-aborted, elapsed, checksum) *)
+let golden_values =
+  [
+    ("tpcc lockstep", (3, 1021, 3, 4252415, 3844684704405354516));
+    ("tpcc pipelined", (3, 1021, 3, 3905435, 3844684704405354516));
+    ("tpcc split", (3, 1021, 3, 4252415, 3844684704405354516));
+    ("ycsb-deps lockstep", (979, 929, 95, 4216925, 1031730342928291381));
+    ("ycsb-deps pipelined", (979, 929, 95, 4034725, 1031730342928291381));
+    ("ycsb-deps split", (979, 929, 95, 4216925, 1031730342928291381));
+    ("ycsb-hot lockstep", (692, 1004, 20, 2973460, 1278244222256593277));
+    ("ycsb-hot pipelined", (692, 1004, 20, 2790150, 1278244222256593277));
+    ("ycsb-hot split", (692, 1004, 20, 2870725, 1278244222256593277));
+  ]
+
+let test_golden_speculation () =
+  List.iter
+    (fun (name, mk, cfg) ->
+      let wl = mk () in
+      let m =
+        Engine.run { cfg with Engine.batch_size = 256 } wl ~batches:4
+      in
+      let c, k, a, e, s = List.assoc name golden_values in
+      Tutil.check_int (name ^ ": cascades") c m.Metrics.cascades;
+      Tutil.check_int (name ^ ": committed") k m.Metrics.committed;
+      Tutil.check_int (name ^ ": logic-aborted") a m.Metrics.logic_aborted;
+      Tutil.check_int (name ^ ": elapsed") e m.Metrics.elapsed;
+      Tutil.check_int (name ^ ": checksum") s (Db.checksum wl.Workload.db);
+      if name = "ycsb-hot split" then
+        Tutil.check_bool (name ^ ": keys split") true
+          (m.Metrics.split_keys > 0))
+    golden_runs
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "quecc"
@@ -582,6 +688,13 @@ let () =
           Alcotest.test_case "auto-batch deterministic + conserving" `Quick
             test_autobatch_deterministic_and_conserving;
           qc prop_adaptive_bit_identical;
+        ] );
+      ( "speculation",
+        [
+          Alcotest.test_case "rerun on same db == rerun on clone" `Quick
+            test_rerun_same_db_equals_clone;
+          Alcotest.test_case "golden speculative runs" `Quick
+            test_golden_speculation;
         ] );
       ( "behaviour",
         [

@@ -18,16 +18,67 @@ let test_row_publish_restore () =
 let test_row_batch_reset () =
   let r = Row.make ~key:1 ~nfields:2 in
   r.Row.inserter <- 5;
-  r.Row.fstate <- [| (1, [ 2 ], []) |];
-  r.Row.undo <- [ (1, 0, Row.Uset 0) ];
+  r.Row.fstate <- 12;
+  r.Row.undo <- 40;
   Row.reset_batch_state r 7;
   Tutil.check_int "inserter reset" (-1) r.Row.inserter;
-  Tutil.check_bool "fstate reset" true (Array.length r.Row.fstate = 0);
-  Tutil.check_bool "undo reset" true (r.Row.undo = []);
+  Tutil.check_int "fstate reset" (-1) r.Row.fstate;
+  Tutil.check_int "undo reset" (-1) r.Row.undo;
   (* same batch: no re-reset *)
   r.Row.inserter <- 9;
   Row.reset_batch_state r 7;
   Tutil.check_int "idempotent per batch" 9 r.Row.inserter
+
+(* ------------------------- spec ------------------------- *)
+
+let in_set l = Array.init 8 (fun b -> List.mem b l)
+
+(* Field-level edges, newest-first undo, and the epoch reset, driven as
+   the QueCC executor drives them: track first, then store. *)
+let test_spec_edges_undo () =
+  let sp = Spec.create () in
+  Spec.begin_batch sp;
+  let r = Row.make ~key:1 ~nfields:2 in
+  Spec.touch sp r;
+  let nil = Spec.nil in
+  let d1 = Spec.write sp r ~field:0 ~bidx:1 ~deps:nil in
+  r.Row.data.(0) <- 10;
+  let d2 = Spec.read sp r ~field:0 ~bidx:2 ~deps:nil in
+  let d3 = Spec.add sp r ~field:1 ~delta:5 ~bidx:3 ~deps:nil in
+  r.Row.data.(1) <- r.Row.data.(1) + 5;
+  let d4 = Spec.add sp r ~field:1 ~delta:7 ~bidx:4 ~deps:nil in
+  r.Row.data.(1) <- r.Row.data.(1) + 7;
+  let d5 = Spec.write sp r ~field:1 ~bidx:5 ~deps:nil in
+  r.Row.data.(1) <- 100;
+  let d6 = Spec.read sp r ~field:0 ~bidx:6 ~deps:nil in
+  let dep d l = Spec.depends_on sp d (in_set l) in
+  Tutil.check_bool "first writer has no edges" false
+    (dep d1 [ 0; 2; 3; 4; 5; 6 ]);
+  Tutil.check_bool "reader -> writer" true (dep d2 [ 1 ]);
+  Tutil.check_bool "adds commute" false (dep d3 [ 4 ] || dep d4 [ 3 ]);
+  Tutil.check_bool "writer -> adders" true (dep d5 [ 3 ] && dep d5 [ 4 ]);
+  Tutil.check_bool "disjoint fields" false (dep d5 [ 1; 2 ]);
+  Tutil.check_bool "readers do not conflict" false (dep d6 [ 2 ]);
+  Tutil.check_bool "second reader -> writer" true (dep d6 [ 1 ]);
+  let reverts = ref 0 in
+  let rollback l =
+    Spec.rollback sp r (in_set l) ~on_revert:(fun () -> incr reverts)
+  in
+  rollback [ 1; 2; 6 ];
+  Tutil.check_int "write reverted" 0 r.Row.data.(0);
+  Tutil.check_int "other field kept" 100 r.Row.data.(1);
+  rollback [ 5 ];
+  Tutil.check_int "overwrite reverted" 12 r.Row.data.(1);
+  rollback [ 3; 4 ];
+  Tutil.check_int "adds reverted" 0 r.Row.data.(1);
+  Tutil.check_int "one revert per entry" 4 !reverts;
+  rollback [ 1; 3; 4; 5 ];
+  Tutil.check_int "reverted entries unlinked" 4 !reverts;
+  (* A new batch discards the row's state: no edge to batch 1's txn 1. *)
+  Spec.begin_batch sp;
+  Spec.touch sp r;
+  Tutil.check_bool "no edge across batches" false
+    (dep (Spec.read sp r ~field:0 ~bidx:2 ~deps:nil) [ 1 ])
 
 (* ------------------------- table ------------------------- *)
 
@@ -254,6 +305,7 @@ let () =
         [
           Alcotest.test_case "publish/restore" `Quick test_row_publish_restore;
           Alcotest.test_case "batch reset" `Quick test_row_batch_reset;
+          Alcotest.test_case "spec edges and undo" `Quick test_spec_edges_undo;
         ] );
       ( "table",
         [
